@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.config import DEFAULT_SCALE, GEOMETRY_MODES, SCALES
+from repro.bench.config import DEFAULT_SCALE, GEOMETRY_MODES, SCALES, RunOptions
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.reporting import print_experiment, save_json
 from repro.geometry.columnar import BACKENDS
@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run every join through the multiprocess engine with N "
         "worker processes (the paper's §3 per-core decomposition); "
-        "omit for sequential execution",
+        "0 forces sequential execution, omitting it defers to "
+        "REPRO_WORKERS (sequential when unset)",
     )
     decompose_kwargs = dict(
         choices=DECOMPOSE_KINDS,
@@ -259,31 +260,23 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(
-    experiment: str,
-    scale: str | None,
-    json_path: Path | None,
-    chart_metric: str | None,
-    backend: str | None = None,
-    workers: int | None = None,
-    decompose: str | None = None,
-    dedup: str | None = None,
-    max_bytes: int | None = None,
-    geometry: str | None = None,
-) -> int:
+def _run_options(args):
+    """The one :class:`RunOptions` the ``run`` / ``all`` flags encode."""
+    return RunOptions(
+        backend=args.backend,
+        workers=args.workers,
+        decompose=args.decompose,
+        dedup=args.dedup,
+        max_bytes=args.max_bytes,
+        geometry=args.geometry,
+    )
+
+
+def _cmd_run(args) -> int:
     from repro.refine import MissingShapesError
 
     try:
-        result = run_experiment(
-            experiment,
-            scale,
-            backend=backend,
-            workers=workers,
-            decompose=decompose,
-            dedup=dedup,
-            max_bytes=max_bytes,
-            geometry=geometry,
-        )
+        result = run_experiment(args.experiment, args.scale, _run_options(args))
     except MissingShapesError as exc:
         # ``--geometry exact`` over an MBR-only workload: name the
         # dataset and exit cleanly instead of dumping a traceback, the
@@ -291,53 +284,36 @@ def _cmd_run(
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     print_experiment(result)
-    if chart_metric is not None:
+    if args.chart is not None:
         from repro.bench.charts import chart_for_experiment
 
         print(
             chart_for_experiment(
                 result.rows,
-                y_key=chart_metric,
-                title=f"{result.title} — {chart_metric}",
+                y_key=args.chart,
+                title=f"{result.title} — {args.chart}",
             )
         )
         print()
-    if json_path is not None:
-        save_json(result, json_path)
-        print(f"wrote {json_path}")
+    if args.json is not None:
+        save_json(result, args.json)
+        print(f"wrote {args.json}")
     return 0
 
 
-def _cmd_all(
-    scale: str | None,
-    out_dir: Path | None,
-    backend: str | None = None,
-    workers: int | None = None,
-    decompose: str | None = None,
-    dedup: str | None = None,
-    max_bytes: int | None = None,
-    geometry: str | None = None,
-) -> int:
+def _cmd_all(args) -> int:
     from repro.refine import MissingShapesError
 
+    options = _run_options(args)
     for name in EXPERIMENTS:
         try:
-            result = run_experiment(
-                name,
-                scale,
-                backend=backend,
-                workers=workers,
-                decompose=decompose,
-                dedup=dedup,
-                max_bytes=max_bytes,
-                geometry=geometry,
-            )
+            result = run_experiment(name, args.scale, options)
         except MissingShapesError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
         print_experiment(result)
-        if out_dir is not None:
-            save_json(result, out_dir / f"{name}.json")
+        if args.out_dir is not None:
+            save_json(result, args.out_dir / f"{name}.json")
     return 0
 
 
@@ -421,7 +397,7 @@ def _cmd_explain(args) -> int:
     """Print the optimizer's plan for a named workload, execution-free."""
     import json
 
-    from repro.bench.config import RunOptions, current_scale
+    from repro.bench.config import current_scale
     from repro.bench.runner import explain
     from repro.bench.workloads import named_pair
 
@@ -557,29 +533,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "run":
-        return _cmd_run(
-            args.experiment,
-            args.scale,
-            args.json,
-            args.chart,
-            args.backend,
-            args.workers,
-            args.decompose,
-            args.dedup,
-            args.max_bytes,
-            args.geometry,
-        )
+        return _cmd_run(args)
     if args.command == "all":
-        return _cmd_all(
-            args.scale,
-            args.out_dir,
-            args.backend,
-            args.workers,
-            args.decompose,
-            args.dedup,
-            args.max_bytes,
-            args.geometry,
-        )
+        return _cmd_all(args)
     return 2  # pragma: no cover - argparse enforces the choices
 
 

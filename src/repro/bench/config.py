@@ -34,8 +34,6 @@ __all__ = [
     "current_scale",
     "DEFAULT_SCALE",
     "RunOptions",
-    "env_choice",
-    "env_int",
 ]
 
 DEFAULT_SCALE = "small"
@@ -156,15 +154,15 @@ SCALES: dict[str, Scale] = {
 
 
 # --------------------------------------------------------------------------
-# Execution options (the consolidated run_algorithm front door)
+# Execution options (the one run_algorithm front door)
 # --------------------------------------------------------------------------
-def env_choice(name: str, choices: tuple[str, ...]) -> str | None:
+def _env_choice(name: str, choices: tuple[str, ...]) -> str | None:
     """Read an enumerated environment variable, or fail naming it.
 
-    Junk values used to propagate deep into the engines before blowing
-    up with a context-free traceback; every ambient ``REPRO_*`` read now
-    validates here and raises a :class:`ValueError` that names the
-    variable and the accepted values.
+    Every ``REPRO_*`` execution read (:meth:`RunOptions.from_env`)
+    validates here, so a junk value raises a :class:`ValueError` naming
+    the variable and the accepted values instead of failing deep in an
+    engine.
     """
     raw = os.environ.get(name)
     if not raw:
@@ -176,7 +174,7 @@ def env_choice(name: str, choices: tuple[str, ...]) -> str | None:
     return raw
 
 
-def env_int(name: str, minimum: int = 0) -> int | None:
+def _env_int(name: str, minimum: int = 0) -> int | None:
     """Read an integer environment variable, or fail naming it."""
     raw = os.environ.get(name)
     if not raw:
@@ -224,17 +222,16 @@ GEOMETRY_MODES = ("mbr", "exact")
 class RunOptions:
     """Execution options of one :func:`repro.bench.runner.run_algorithm` call.
 
-    The consolidated front door replacing the historical sprawl of
-    ``workers=`` / ``decompose=`` / ``dedup=`` / ``reuse_index=`` call
-    kwargs and the ``REPRO_WORKERS`` / ``REPRO_DECOMPOSE`` /
-    ``REPRO_DEDUP`` / ``REPRO_BACKEND`` ambient environment variables.
-    ``None`` means *unspecified* — the next precedence layer decides
-    (explicit call kwarg > options object > ambient scope/env > default).
+    The one way to configure a join.  Every entry point (``run_algorithm``,
+    ``explain``, ``run_experiment``, the CLI flags) resolves its options
+    by the same rule: explicit ``options=`` > :meth:`from_env` (the
+    ``REPRO_*`` variables) > engine default.  ``None`` means
+    *unspecified* — the next layer of that rule decides.
 
     Attributes
     ----------
     workers:
-        ``None`` defers to the ambient layer, ``0`` forces sequential
+        ``None`` defers to ``REPRO_WORKERS``, ``0`` forces sequential
         execution, ``>= 1`` routes the join through the multiprocess
         :class:`~repro.parallel.engine.ParallelChunkedJoin`.
     decompose:
@@ -325,20 +322,20 @@ class RunOptions:
     def from_env(cls) -> "RunOptions":
         """The options encoded in the ``REPRO_*`` environment variables.
 
-        ``REPRO_WORKERS=0`` (like an explicit ``workers=0``) reads as
-        sequential execution; unset variables stay ``None`` so higher
-        precedence layers and engine defaults apply.  Values are
-        validated eagerly with errors naming the variable.
+        The middle layer of the resolution rule: fields set on an explicit
+        ``options=`` object win over it, and variables left unset stay
+        ``None`` so engine defaults apply.  ``REPRO_WORKERS=0`` (like an
+        explicit ``workers=0``) reads as sequential execution.  Values
+        are validated eagerly with errors naming the variable.
         """
-        workers = env_int("REPRO_WORKERS", minimum=0)
         return cls(
-            workers=workers,
-            decompose=env_choice("REPRO_DECOMPOSE", _decompose_kinds()),
-            dedup=env_choice("REPRO_DEDUP", DEDUP_MODES),
-            backend=env_choice("REPRO_BACKEND", _backend_names()),
-            handoff=env_choice("REPRO_HANDOFF", HANDOFF_MODES),
-            max_bytes=env_int("REPRO_MAX_BYTES", minimum=1),
-            geometry=env_choice("REPRO_GEOMETRY", GEOMETRY_MODES),
+            workers=_env_int("REPRO_WORKERS", minimum=0),
+            decompose=_env_choice("REPRO_DECOMPOSE", _decompose_kinds()),
+            dedup=_env_choice("REPRO_DEDUP", DEDUP_MODES),
+            backend=_env_choice("REPRO_BACKEND", _backend_names()),
+            handoff=_env_choice("REPRO_HANDOFF", HANDOFF_MODES),
+            max_bytes=_env_int("REPRO_MAX_BYTES", minimum=1),
+            geometry=_env_choice("REPRO_GEOMETRY", GEOMETRY_MODES),
         )
 
     def over(self, base: "RunOptions") -> "RunOptions":

@@ -133,26 +133,32 @@ def test_cli_backend_flag(tmp_path, capsys):
         del os.environ["REPRO_SCALE"]
 
 
-def test_runner_ambient_backend(small_uniform_pair):
-    from repro.bench.runner import run_algorithm, use_backend
+def test_runner_ambient_backend(small_uniform_pair, monkeypatch):
+    from repro.bench.config import RunOptions
+    from repro.bench.runner import run_algorithm
 
     dataset_a, dataset_b = small_uniform_pair
-    with use_backend("object"):
-        record = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0)
+    monkeypatch.setenv("REPRO_BACKEND", "object")
+    record = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0)
     assert record.extra["backend"] == "object"
-    # Explicit per-call override beats the ambient selection.
-    with use_backend("object"):
-        record = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0, backend="columnar")
+    # Explicit options beat the environment...
+    record = run_algorithm(
+        "TOUCH", dataset_a, dataset_b, 5.0, options=RunOptions(backend="columnar")
+    )
+    assert record.extra["backend"] == "columnar"
+    # ...and an explicit per-call override beats both.
+    record = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0, backend="columnar")
     assert record.extra["backend"] == "columnar"
 
 
 def test_run_experiment_preserves_ambient_backend(monkeypatch):
-    """run_experiment(backend=None) must not clobber a caller's ambient
-    use_backend() scope (regression: it used to enter use_backend(None))."""
+    """run_experiment() without options must honour REPRO_BACKEND, and
+    record the resolved backend (regression: the JSON used to save
+    ``"backend": null`` unless ``backend=`` was passed explicitly)."""
     from repro.bench.experiments import run_experiment
-    from repro.bench.runner import use_backend
 
     monkeypatch.setenv("REPRO_SCALE", "smoke")
-    with use_backend("object"):
-        result = run_experiment("fig13")
+    monkeypatch.setenv("REPRO_BACKEND", "object")
+    result = run_experiment("fig13")
     assert {row["backend"] for row in result.rows} == {"object"}
+    assert result.backend == "object"

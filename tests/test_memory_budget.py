@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.bench.config import RunOptions
-from repro.bench.runner import current_max_bytes, run_algorithm, use_max_bytes
+from repro.bench.runner import run_algorithm
 from repro.datasets.synthetic import uniform_boxes
 from repro.geometry.columnar import HAVE_NUMPY
 from repro.geometry.mbr import MBR
@@ -269,13 +269,12 @@ class TestRunOptionsPlumbing:
         assert record.extra["spilled_partitions"] > 0
         assert record.extra["budget_bytes"] == estimated // 4
 
-    def test_scope_and_env(self, monkeypatch):
-        assert current_max_bytes() is None
+    def test_env(self, monkeypatch):
+        assert RunOptions.from_env().max_bytes is None
         monkeypatch.setenv("REPRO_MAX_BYTES", "12345")
-        assert current_max_bytes() == 12345
-        with use_max_bytes(777):
-            assert current_max_bytes() == 777
-        assert current_max_bytes() == 12345
+        assert RunOptions.from_env().max_bytes == 12345
+        explicit = RunOptions(max_bytes=777).over(RunOptions.from_env())
+        assert explicit.max_bytes == 777
 
     @pytest.mark.parametrize("bad", [0, -3, True, 2.5])
     def test_run_options_validation(self, bad):

@@ -33,7 +33,7 @@ def reference_pairs(name: str, build, probe, **overrides):
 
 
 class TestRegistry:
-    def test_prepare_aware_names(self):
+    def test_prepare_aware_records(self):
         aware = {info.name for info in available() if info.prepare_aware}
         assert aware == set(PREPARE_AWARE)
 

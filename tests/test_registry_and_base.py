@@ -8,10 +8,8 @@ from repro.joins.registry import (
     ALGORITHMS,
     BACKEND_AWARE,
     AlgorithmInfo,
-    algorithm_names,
     available,
     make_algorithm,
-    prepare_aware_names,
 )
 from repro.stats.counters import JoinStatistics
 
@@ -87,18 +85,6 @@ class TestAvailable:
 
     def test_same_tuple_returned(self):
         assert available() is available()
-
-
-class TestDeprecatedHelpers:
-    def test_algorithm_names_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="available"):
-            names = algorithm_names()
-        assert names == [info.name for info in available()]
-
-    def test_prepare_aware_names_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="prepare_aware"):
-            names = prepare_aware_names()
-        assert names == [info.name for info in available() if info.prepare_aware]
 
 
 class TestJoinResult:

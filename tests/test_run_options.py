@@ -1,9 +1,8 @@
-"""RunOptions: the consolidated execution-option front door.
+"""RunOptions: the one way to configure a join.
 
-Pins the precedence stack of ``run_algorithm`` — explicit legacy call
-kwarg > ``options`` object > ambient scope > ``REPRO_*`` environment >
-engine default — plus ``RunOptions.from_env`` validation and the
-deprecation shim for the historical kwargs.
+Pins the resolution rule of ``run_algorithm`` — explicit ``options=`` >
+``RunOptions.from_env()`` (the ``REPRO_*`` variables) > engine default —
+plus ``RunOptions.from_env`` validation.
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ import dataclasses
 import pytest
 
 from repro.bench.config import DEDUP_MODES, RunOptions
-from repro.bench.runner import (
-    current_options,
-    run_algorithm,
-    use_backend,
-    use_parallel,
-)
+from repro.bench.runner import run_algorithm
 from repro.datasets.synthetic import uniform_boxes
 from repro.service import SpatialQueryService
 
@@ -124,28 +118,23 @@ class TestFromEnv:
 
 
 class TestCurrentOptions:
+    """What a call without explicit options resolves to: the env layer."""
+
     def test_default_is_empty(self, monkeypatch):
         for name in ("REPRO_WORKERS", "REPRO_DECOMPOSE", "REPRO_BACKEND"):
             monkeypatch.delenv(name, raising=False)
-        assert current_options() == RunOptions()
+        assert RunOptions().over(RunOptions.from_env()) == RunOptions()
 
     def test_env_flows_through(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_DECOMPOSE", "tiles")
-        options = current_options()
+        options = RunOptions().over(RunOptions.from_env())
         assert options.workers == 2
         assert options.decompose == "tiles"
 
-    def test_scope_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        with use_parallel(workers=4, decompose="slabs"):
-            assert current_options().workers == 4
-        with use_backend("object"):
-            assert current_options().backend == "object"
-
 
 class TestRunAlgorithmPrecedence:
-    """The three layers, pinned pairwise on real joins.
+    """The options > env > default rule, pinned pairwise on real joins.
 
     ``workers`` selects the engine, and the engine stamps itself into
     ``extra`` (``n_chunks`` present iff the multiprocess engine ran), so
@@ -167,15 +156,6 @@ class TestRunAlgorithmPrecedence:
         a, b = pair
         record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=0))
         assert "n_chunks" not in record.extra  # sequential path ran
-
-    @pytest.mark.parallel
-    def test_legacy_kwarg_beats_options_object(self, pair):
-        a, b = pair
-        with pytest.deprecated_call():
-            record = run_algorithm(
-                "TOUCH", a, b, EPS, options=RunOptions(workers=2), workers=0
-            )
-        assert "n_chunks" not in record.extra
 
     @pytest.mark.parallel
     def test_environment_still_applies_when_unspecified(self, pair, monkeypatch):
@@ -228,70 +208,6 @@ class TestRunAlgorithmPrecedence:
                 EPS,
                 options=RunOptions(workers=2, reuse_index=True),
             )
-
-
-class TestDeprecationShim:
-    """The historical kwargs keep working, loudly."""
-
-    @pytest.mark.parallel
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"workers": 0},
-            {"workers": 2, "decompose": "tiles"},
-            {"workers": 2, "dedup": "partition"},
-        ],
-    )
-    def test_legacy_kwargs_warn(self, pair, kwargs):
-        a, b = pair
-        with pytest.deprecated_call(match="options=RunOptions"):
-            record = run_algorithm("TOUCH", a, b, EPS, **kwargs)
-        if kwargs.get("workers"):
-            assert record.extra["workers"] == kwargs["workers"]
-
-    def test_legacy_reuse_index_warns(self, pair):
-        a, b = pair
-        with pytest.deprecated_call(match="reuse_index"):
-            record = run_algorithm(
-                "TOUCH", a, b, EPS, reuse_index=SpatialQueryService(capacity=2)
-            )
-        assert record.extra["cache"] == "cold"
-
-    def test_reuse_index_false_is_unspecified(self, pair):
-        """``reuse_index=False`` was the old default — it must not warn."""
-        import warnings
-
-        a, b = pair
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            record = run_algorithm("TOUCH", a, b, EPS, reuse_index=False)
-        assert "cache" not in record.extra
-
-    def test_no_kwargs_no_warning(self, pair):
-        import warnings
-
-        a, b = pair
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            record = run_algorithm("TOUCH", a, b, EPS)
-        assert record.result_pairs > 0
-
-    @pytest.mark.parallel
-    def test_legacy_and_new_spellings_agree(self, pair):
-        a, b = pair
-        with pytest.deprecated_call():
-            legacy = run_algorithm("TOUCH", a, b, EPS, workers=2)
-        modern = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=2))
-        assert legacy.result_pairs == modern.result_pairs
-
-    def test_warning_points_at_caller(self, pair):
-        """The shim's stacklevel must attribute the warning to the call
-        site of ``run_algorithm``, not to the runner internals."""
-        a, b = pair
-        with pytest.warns(DeprecationWarning) as records:
-            run_algorithm("TOUCH", a, b, EPS, workers=0)
-        assert len(records) == 1
-        assert records[0].filename == __file__
 
 
 class TestHandoffOption:
