@@ -192,7 +192,7 @@ def _env_int(name: str, minimum: int = 0) -> int | None:
 
 def _decompose_kinds() -> tuple[str, ...]:
     # Imported lazily: config must stay importable without dragging the
-    # engine modules (and numpy) in.
+    # engine modules in.
     from repro.parallel.decompose import DECOMPOSE_KINDS
 
     return tuple(DECOMPOSE_KINDS)
@@ -206,11 +206,6 @@ def _backend_names() -> tuple[str, ...]:
 
 #: Valid values of the ``dedup`` execution option.
 DEDUP_MODES = ("reference", "partition")
-
-#: Valid values of the ``handoff`` execution option (mirrors
-#: :data:`repro.parallel.engine.HANDOFF_MODES` without importing the
-#: engine — config must stay importable without numpy).
-HANDOFF_MODES = ("auto", "shm", "pickle")
 
 #: Valid values of the ``geometry`` execution option: ``"mbr"`` joins
 #: bounding boxes exactly as every PR before the filter-refine split,
@@ -245,10 +240,6 @@ class RunOptions:
         (``"object"`` | ``"columnar"`` | ``"compiled"`` | ``"auto"``;
         ``"compiled"`` degrades to columnar when numba is missing and
         ``REPRO_COMPILED`` is not ``force``).
-    handoff:
-        Worker hand-off of the multiprocess engine (``"auto"`` |
-        ``"shm"`` | ``"pickle"``; engine default ``"auto"`` — shared
-        memory when available).
     reuse_index:
         Route the join through the build-once/probe-many query service:
         ``True`` for the process-wide default service, a live
@@ -275,7 +266,6 @@ class RunOptions:
     decompose: str | None = None
     dedup: str | None = None
     backend: str | None = None
-    handoff: str | None = None
     reuse_index: "bool | object | None" = None
     max_bytes: int | None = None
     geometry: str | None = None
@@ -307,11 +297,6 @@ class RunOptions:
                 f"unknown backend {self.backend!r}; expected one of "
                 f"{', '.join(_backend_names())}"
             )
-        if self.handoff is not None and self.handoff not in HANDOFF_MODES:
-            raise ValueError(
-                f"unknown handoff mode {self.handoff!r}; expected one of "
-                f"{', '.join(HANDOFF_MODES)}"
-            )
         if self.geometry is not None and self.geometry not in GEOMETRY_MODES:
             raise ValueError(
                 f"unknown geometry mode {self.geometry!r}; expected one of "
@@ -333,7 +318,6 @@ class RunOptions:
             decompose=_env_choice("REPRO_DECOMPOSE", _decompose_kinds()),
             dedup=_env_choice("REPRO_DEDUP", DEDUP_MODES),
             backend=_env_choice("REPRO_BACKEND", _backend_names()),
-            handoff=_env_choice("REPRO_HANDOFF", HANDOFF_MODES),
             max_bytes=_env_int("REPRO_MAX_BYTES", minimum=1),
             geometry=_env_choice("REPRO_GEOMETRY", GEOMETRY_MODES),
         )
@@ -347,7 +331,6 @@ class RunOptions:
                 ("decompose", self.decompose),
                 ("dedup", self.dedup),
                 ("backend", self.backend),
-                ("handoff", self.handoff),
                 ("reuse_index", self.reuse_index),
                 ("max_bytes", self.max_bytes),
                 ("geometry", self.geometry),
@@ -364,7 +347,6 @@ class RunOptions:
             "decompose",
             "dedup",
             "backend",
-            "handoff",
             "max_bytes",
             "geometry",
         ):

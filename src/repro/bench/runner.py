@@ -326,7 +326,6 @@ def run_algorithm(
             workers=resolved.workers,
             kind=resolved.decompose or "slabs",
             dedup=resolved.dedup or "reference",
-            handoff=resolved.handoff or "auto",
             max_bytes=resolved.max_bytes,
             geometry=resolved.geometry or "mbr",
             refine_epsilon=epsilon if exact else None,

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.core.tree import TouchNode, TouchTree
-from repro.geometry.columnar import CoordinateTable, require_numpy
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair
 from repro.geometry.compiled import FlatHierarchy, descend_ranges
@@ -28,11 +30,6 @@ from repro.joins.local import (
     grid_kernel,
 )
 from repro.stats.counters import JoinStatistics
-
-try:  # pragma: no cover - optional dependency of the columnar path
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "join_assigned_nodes",
@@ -128,7 +125,6 @@ def join_assigned_nodes_columnar(
     :data:`~repro.joins.local.COLUMNAR_KERNELS`; the compiled backend
     passes :data:`~repro.joins.local.COMPILED_KERNELS`).
     """
-    require_numpy()
     kernel_table = COLUMNAR_KERNELS if kernels is None else kernels
     if kernel_name not in kernel_table:
         raise ValueError(f"unknown local kernel {kernel_name!r}")
@@ -181,7 +177,6 @@ def probe_assigned_nodes_columnar(
     the intersecting pairs under each assigned node) while the work per
     batch is proportional to the branches the queries actually touch.
     """
-    require_numpy()
     pairs: list[Pair] = []
     ids_a, ids_b = table_a.ids, table_b.ids
     lo_b, hi_b = table_b.lo, table_b.hi
@@ -239,7 +234,6 @@ def flatten_hierarchy(
     counts of each subtree's internal nodes, letting the shortcut charge
     skipped node tests exactly as a full descent would.
     """
-    require_numpy()
     nodes = list(tree.iter_nodes())
     count = len(nodes)
     index = {node: position for position, node in enumerate(nodes)}
@@ -303,7 +297,6 @@ def probe_assigned_nodes_compiled(
     descent bit-for-bit (the shortcut charges skipped work from the
     subtree aggregates).
     """
-    require_numpy()
     seeds: list = []
     row_blocks: list = []
     for node, b_rows in assigned.items():
@@ -339,7 +332,6 @@ def leaf_order_table(tree: TouchTree):
     range, so gathering the A objects under any node is a concatenation
     of ranges rather than a scattered copy.
     """
-    require_numpy()
     objects: list[SpatialObject] = []
     slices: dict[TouchNode, tuple[int, int]] = {}
     for leaf in tree.leaves():

@@ -88,7 +88,7 @@ class TouchJoin(SpatialJoinAlgorithm):
     max_cells_per_dim:
         Upper bound on local-grid resolution per dimension.
     backend:
-        ``"auto"`` (default: columnar when numpy is importable),
+        ``"auto"`` (default: columnar),
         ``"object"`` (per-object Python loops), ``"columnar"``
         (contiguous coordinate arrays + batched kernels) or
         ``"compiled"`` (jitted kernels + flattened range descent with

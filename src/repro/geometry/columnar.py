@@ -18,43 +18,23 @@ batch kernels over it:
 - :func:`overlap_mask` / :func:`boxes_overlap_matrix` — one-box-vs-table
   and small-stack-vs-table tests used by the TOUCH assignment phase.
 
-Everything degrades gracefully: when numpy is unavailable
-(:data:`HAVE_NUMPY` is ``False``) the object code paths remain the only
-backend and importing this module stays safe.
-
 All predicates use closed-box semantics (touching boundaries intersect),
 bit-for-bit the same rule as :meth:`MBR.intersects`.
 """
 
 from __future__ import annotations
 
+from multiprocessing import shared_memory as _shared_memory
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from repro.geometry.mbr import MBR
-
-try:  # pragma: no cover - exercised implicitly by every columnar test
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI images all ship numpy
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-try:  # pragma: no cover - stdlib on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-
-    HAVE_SHM = True
-except ImportError:  # pragma: no cover - stripped-down interpreters
-    _shared_memory = None  # type: ignore[assignment]
-    HAVE_SHM = False
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.geometry.objects
     from repro.geometry.objects import SpatialObject
 
 __all__ = [
-    "HAVE_NUMPY",
-    "HAVE_SHM",
-    "require_numpy",
     "BACKENDS",
     "resolve_backend",
     "validate_backend",
@@ -79,15 +59,6 @@ __all__ = [
 DEFAULT_CANDIDATE_CHUNK = 1 << 22
 
 
-def require_numpy() -> None:
-    """Raise a clear error when a columnar API is used without numpy."""
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "the columnar geometry backend requires numpy; install numpy "
-            "or select backend='object'"
-        )
-
-
 #: Valid values of the ``backend`` parameter of the ported algorithms.
 BACKENDS = ("auto", "object", "columnar", "compiled")
 
@@ -108,24 +79,19 @@ def validate_backend(backend: str) -> str:
 def resolve_backend(backend: str, allow_compiled: bool = True) -> str:
     """Normalise a backend selector to an executable backend name.
 
-    ``"auto"`` picks the columnar path whenever numpy is importable and
-    falls back to the object path otherwise — it never opts into the
+    ``"auto"`` picks the columnar path — it never opts into the
     compiled tier on its own.  ``"compiled"`` resolves to itself when
     the compiled kernels are usable (numba importable, or the
     ``REPRO_COMPILED=force`` pure-python mode) and degrades gracefully
-    to ``"columnar"`` (then ``"object"``) when they are not.  Algorithms
-    without a compiled execution pass ``allow_compiled=False`` so an
-    explicit ``backend="compiled"`` request lands on their columnar
-    path instead of falling through to the object loops.  Explicitly
-    requesting ``"columnar"`` without numpy fails later, inside the
-    first columnar kernel, with the :func:`require_numpy` message.
+    to ``"columnar"`` when they are not.  Algorithms without a compiled
+    execution pass ``allow_compiled=False`` so an explicit
+    ``backend="compiled"`` request lands on their columnar path instead
+    of falling through to the object loops.
     """
     validate_backend(backend)
     if backend == "auto":
-        return "columnar" if HAVE_NUMPY else "object"
+        return "columnar"
     if backend == "compiled":
-        if not HAVE_NUMPY:
-            return "object"
         if not allow_compiled:
             return "columnar"
         from repro.geometry.compiled import compiled_available
@@ -155,7 +121,6 @@ class CoordinateTable:
     __slots__ = ("coords", "ids", "_shm")
 
     def __init__(self, coords, ids) -> None:
-        require_numpy()
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] % 2 != 0 or coords.shape[1] == 0:
@@ -182,7 +147,6 @@ class CoordinateTable:
         inferred), so empty-side joins flow through the columnar
         kernels instead of tripping a shape-inference error.
         """
-        require_numpy()
         if not objects:
             dim = DEFAULT_DIM if dim is None else dim
             return cls(
@@ -211,7 +175,6 @@ class CoordinateTable:
         Empty input yields a ``(0, 2 * dim)`` table exactly like
         :meth:`from_objects`.
         """
-        require_numpy()
         boxes = list(mbrs)
         if not boxes:
             dim = DEFAULT_DIM if dim is None else dim
@@ -301,7 +264,6 @@ class CoordinateTable:
         tiny picklable :class:`SharedTableHandle` that workers attach
         with :meth:`from_shared` / :meth:`shm_slice`.
         """
-        require_shm()
         coords = np.ascontiguousarray(self.coords)
         ids = np.ascontiguousarray(self.ids)
         total = coords.nbytes + ids.nbytes
@@ -328,8 +290,6 @@ class CoordinateTable:
         unlinks.  Use :meth:`shm_slice` to materialise a private row
         subset and drop the attachment immediately.
         """
-        require_numpy()
-        require_shm()
         segment = _attach_segment(handle.name)
         rows, dim = handle.rows, handle.dim
         coords = np.frombuffer(
@@ -378,16 +338,6 @@ class CoordinateTable:
             # The attachment then lives until process exit; the segment
             # itself is still owned (and unlinked) by the publisher.
             pass
-
-
-def require_shm() -> None:
-    """Raise a clear error when the shm hand-off is used without support."""
-    require_numpy()
-    if not HAVE_SHM:
-        raise RuntimeError(
-            "multiprocessing.shared_memory is unavailable on this platform; "
-            "use the pickle hand-off (handoff='pickle')"
-        )
 
 
 def _attach_segment(name: str):
@@ -474,7 +424,6 @@ def concat_ranges(starts, counts):
     the flat ``(anchor_index, candidate_index)`` arrays in one shot,
     without a Python-level loop.
     """
-    require_numpy()
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     total = int(counts.sum())
@@ -519,7 +468,6 @@ def intersects_many(table_a: CoordinateTable, table_b: CoordinateTable):
     Materialises |A| × |B| booleans: meant for moderate inputs and for
     validation; use :func:`intersect_pairs` for large joins.
     """
-    require_numpy()
     if table_a.dim != table_b.dim:
         raise ValueError(f"dimension mismatch: {table_a.dim} vs {table_b.dim}")
     a_lo = table_a.lo[:, None, :]
@@ -531,7 +479,6 @@ def intersects_many(table_a: CoordinateTable, table_b: CoordinateTable):
 
 def overlap_mask(table: CoordinateTable, lo, hi):
     """``(N,)`` mask of table rows intersecting the box ``(lo, hi)``."""
-    require_numpy()
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     return (table.lo <= hi).all(axis=1) & (table.hi >= lo).all(axis=1)
@@ -547,7 +494,6 @@ def axes_overlap_mask(table: CoordinateTable, axes, lows, highs):
     axes, never all — vectorised so the parallel engine can slice
     per-region coordinate blocks without a per-object Python loop.
     """
-    require_numpy()
     dim = table.dim
     mask = np.ones(len(table), dtype=bool)
     for axis, lo, hi in zip(axes, lows, highs):
@@ -562,7 +508,6 @@ def boxes_overlap_matrix(lo_rows, hi_rows, boxes_lo, boxes_hi):
     Used by the assignment phase to test a batch of B objects against
     all children of a tree node in one broadcast.
     """
-    require_numpy()
     return ((lo_rows[:, None, :] <= boxes_hi[None, :, :]).all(axis=2)) & (
         (hi_rows[:, None, :] >= boxes_lo[None, :, :]).all(axis=2)
     )
@@ -580,7 +525,6 @@ def intersect_pairs(
     processing blocks of A rows; pair order matches the object-model
     nested loop (A-major, then B).
     """
-    require_numpy()
     if table_a.dim != table_b.dim:
         raise ValueError(f"dimension mismatch: {table_a.dim} vs {table_b.dim}")
     n_a, n_b = len(table_a), len(table_b)
@@ -627,7 +571,6 @@ def sweep_pairs(
     calls against the lo-sorted opposite table and materialise them with
     :func:`concat_ranges` — no per-object Python loop.
     """
-    require_numpy()
     if table_a.dim != table_b.dim:
         raise ValueError(f"dimension mismatch: {table_a.dim} vs {table_b.dim}")
     empty = np.empty(0, dtype=np.int64)

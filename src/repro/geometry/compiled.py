@@ -42,18 +42,9 @@ from __future__ import annotations
 import os
 import warnings
 
-from repro.geometry.columnar import (
-    HAVE_NUMPY,
-    CoordinateTable,
-    intersect_pairs,
-    require_numpy,
-    sweep_pairs,
-)
+import numpy as np
 
-try:  # pragma: no cover - numpy import guarded like columnar.py
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+from repro.geometry.columnar import CoordinateTable, intersect_pairs, sweep_pairs
 
 try:  # pragma: no cover - numba is an optional accelerator
     import numba  # noqa: F401
@@ -104,8 +95,6 @@ def compiled_available() -> bool:
     same algorithms, true-hit shortcut included); ``off`` always says
     no; ``auto`` requires importable numba.
     """
-    if not HAVE_NUMPY:
-        return False
     mode = compiled_mode()
     if mode == "off":
         return False
@@ -154,7 +143,6 @@ def intersect_pairs_compiled(table_a: CoordinateTable, table_b: CoordinateTable)
     Drop-in replacement for :func:`~repro.geometry.columnar.intersect_pairs`
     (identical pair order); jitted when numba is usable, numpy otherwise.
     """
-    require_numpy()
     if table_a.dim != table_b.dim:
         raise ValueError(f"dimension mismatch: {table_a.dim} vs {table_b.dim}")
     kernels = _kernels()
@@ -173,7 +161,6 @@ def sweep_pairs_compiled(table_a: CoordinateTable, table_b: CoordinateTable):
     — same two-pass forward scan, same tie ownership, same candidate
     count, same anchor-major emission order.
     """
-    require_numpy()
     if table_a.dim != table_b.dim:
         raise ValueError(f"dimension mismatch: {table_a.dim} vs {table_b.dim}")
     kernels = _kernels()
@@ -282,7 +269,6 @@ def descend_ranges(
     arrays list every intersecting (A row, B row) pair exactly once and
     the counters equal a shortcut-free descent bit-for-bit.
     """
-    require_numpy()
     seed_nodes = np.ascontiguousarray(seed_nodes, dtype=np.int64)
     query_rows = np.ascontiguousarray(query_rows, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)

@@ -21,15 +21,12 @@ without pickling coordinate buffers.
 
 from __future__ import annotations
 
+from multiprocessing import shared_memory as _shared_memory
 from typing import Iterable, Sequence
 
-from repro.geometry.columnar import (
-    HAVE_NUMPY,
-    SharedTableBlock,
-    _attach_segment,
-    require_numpy,
-    require_shm,
-)
+import numpy as np
+
+from repro.geometry.columnar import SharedTableBlock, _attach_segment, concat_ranges
 from repro.geometry.shapes import (
     KIND_CODES,
     KIND_NAMES,
@@ -39,11 +36,6 @@ from repro.geometry.shapes import (
     Polygon,
     Shape,
 )
-
-try:  # pragma: no cover - numpy import guarded like columnar.py
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["VertexTable", "SharedVertexHandle", "shape_of"]
 
@@ -75,7 +67,6 @@ class VertexTable:
     __slots__ = ("vertices", "offsets", "kinds", "ids", "_shm")
 
     def __init__(self, vertices, offsets, kinds, ids):
-        require_numpy()
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         self.kinds = np.ascontiguousarray(kinds, dtype=np.int64)
@@ -102,7 +93,6 @@ class VertexTable:
     def from_shapes(
         cls, shapes: Sequence[Shape], ids: Iterable[int]
     ) -> "VertexTable":
-        require_numpy()
         if not shapes:
             return cls(
                 np.empty((0, 2), dtype=np.float64),
@@ -166,8 +156,6 @@ class VertexTable:
         if len(indices) == 0:
             gathered = np.empty((0, self.dim), dtype=np.float64)
         else:
-            from repro.geometry.columnar import concat_ranges
-
             _, rows = concat_ranges(starts, counts)
             gathered = self.vertices[rows]
         return VertexTable(
@@ -177,9 +165,6 @@ class VertexTable:
     # -- shared-memory hand-off ----------------------------------------
     def to_shared(self, name: str | None = None) -> SharedTableBlock:
         """Publish into one segment: vertex block, then the int64 blocks."""
-        require_shm()
-        from multiprocessing import shared_memory as _shared_memory
-
         vertices = np.ascontiguousarray(self.vertices)
         ints = np.concatenate([self.offsets, self.kinds, self.ids])
         total = vertices.nbytes + ints.nbytes
@@ -201,7 +186,6 @@ class VertexTable:
     @classmethod
     def from_shared(cls, handle: "SharedVertexHandle") -> "VertexTable":
         """Attach a published table as a zero-copy view (publisher owns it)."""
-        require_shm()
         segment = _attach_segment(handle.name)
         rows, total, dim = handle.rows, handle.total_vertices, handle.dim
         vertices = np.frombuffer(
@@ -275,7 +259,3 @@ class SharedVertexHandle:
 
     def __setstate__(self, state) -> None:
         self.name, self.rows, self.total_vertices, self.dim = state
-
-
-# Re-export for callers that feature-test the hand-off.
-HAVE_VERTEX_NUMPY = HAVE_NUMPY

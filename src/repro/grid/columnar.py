@@ -16,18 +16,14 @@ columnar grid join equals the object path's count bit for bit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.geometry.columnar import (
     CoordinateTable,
     DEFAULT_CANDIDATE_CHUNK,
     chunk_boundaries,
     concat_ranges,
-    require_numpy,
 )
-
-try:  # pragma: no cover - mirrored from repro.geometry.columnar
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "ColumnarGrid",
@@ -53,7 +49,6 @@ class ColumnarGrid:
     __slots__ = ("lo", "hi", "resolution", "cell_width", "_radix")
 
     def __init__(self, lo, hi, resolution=None, cell_size=None) -> None:
-        require_numpy()
         if (resolution is None) == (cell_size is None):
             raise ValueError("specify exactly one of resolution or cell_size")
         self.lo = np.asarray(lo, dtype=np.float64)
@@ -189,7 +184,6 @@ def entry_join_candidates(
     :func:`cell_join_candidates` the object indices, the two-layer join
     (:mod:`repro.partition.two_layer`) object indices *and* class masks.
     """
-    require_numpy()
     if len(keys_a) == 0 or len(keys_b) == 0:
         return
     order_b = np.argsort(keys_b, kind="stable")
@@ -217,7 +211,6 @@ def sort_entries(keys):
     instead of the one-shot path's per-join sort-and-scan over the full
     build side (:func:`probe_join_candidates`).
     """
-    require_numpy()
     order = np.argsort(keys, kind="stable")
     return order, keys[order]
 
@@ -238,7 +231,6 @@ def probe_join_candidates(
     (one element per key-sharing pair), so ``stats.comparisons`` counts
     are identical; only the pair order differs.
     """
-    require_numpy()
     if len(build_sorted_keys) == 0 or len(probe_keys) == 0:
         return
     starts = np.searchsorted(build_sorted_keys, probe_keys, side="left")

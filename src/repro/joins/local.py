@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.geometry.columnar import (
     CoordinateTable,
     intersect_pairs,
-    require_numpy,
     sweep_pairs,
 )
 from repro.geometry.compiled import (
@@ -31,11 +32,6 @@ from repro.grid.columnar import ColumnarGrid, grid_join_pairs
 from repro.grid.uniform import UniformGrid
 from repro.stats import memory as memmodel
 from repro.stats.counters import JoinStatistics
-
-try:  # pragma: no cover - optional dependency of the columnar kernels
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "nested_loop_kernel",
@@ -228,7 +224,6 @@ def nested_kernel_columnar(
     stats: JoinStatistics,
 ):
     """Batch nested loop: every pair tested via one broadcast per block."""
-    require_numpy()
     idx_a, idx_b = intersect_pairs(table_a, table_b)
     stats.comparisons += len(table_a) * len(table_b)
     return idx_a, idx_b
@@ -240,7 +235,6 @@ def sweep_kernel_columnar(
     stats: JoinStatistics,
 ):
     """Vectorised forward plane-sweep along dimension 0."""
-    require_numpy()
     idx_a, idx_b, candidates = sweep_pairs(table_a, table_b)
     stats.comparisons += candidates
     return idx_a, idx_b
@@ -261,7 +255,6 @@ def grid_kernel_columnar(
     sides without a Python loop, joins them by cell key and applies the
     reference-point rule to the intersecting candidates in one shot.
     """
-    require_numpy()
     n_a, n_b = len(table_a), len(table_b)
     empty = np.empty(0, dtype=np.int64)
     if n_a == 0 or n_b == 0:
@@ -324,7 +317,6 @@ def nested_kernel_compiled(
     stats: JoinStatistics,
 ):
     """Batch nested loop lowered to a scalar jitted double loop."""
-    require_numpy()
     idx_a, idx_b = intersect_pairs_compiled(table_a, table_b)
     stats.comparisons += len(table_a) * len(table_b)
     return idx_a, idx_b
@@ -336,7 +328,6 @@ def sweep_kernel_compiled(
     stats: JoinStatistics,
 ):
     """Forward plane sweep lowered to jitted per-anchor window scans."""
-    require_numpy()
     idx_a, idx_b, candidates = sweep_pairs_compiled(table_a, table_b)
     stats.comparisons += candidates
     return idx_a, idx_b

@@ -36,7 +36,7 @@ class NestedLoopJoin(SpatialJoinAlgorithm):
     Parameters
     ----------
     backend:
-        ``"auto"`` (columnar when numpy is importable), ``"object"`` or
+        ``"auto"`` (columnar), ``"object"`` or
         ``"columnar"``.  Pair list and comparison count are identical;
         only the execution strategy differs.
     """

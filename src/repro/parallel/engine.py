@@ -13,12 +13,8 @@ after another, :class:`ParallelChunkedJoin` actually ships them to a
    region then ships only its int64 member-row indices, and workers
    attach zero-copy views
    (:meth:`~repro.geometry.columnar.CoordinateTable.shm_slice`) — no
-   coordinate buffer is ever pickled on this path
-   (``stats.extra["pickled_coord_bytes"] == 0``).  When shared memory
-   (or numpy) is unavailable — or ``handoff="pickle"`` is forced — the
-   engine falls back to the previous per-region pickled float64
-   coordinate blocks plus int64 id vectors, and without numpy it
-   degrades further to compact ``(oid, lo, hi)`` tuples;
+   coordinate buffer is ever pickled.  Shared memory is the only
+   hand-off: workers always attach to the parent's blocks;
 2. **worker_join** — each worker rebuilds its region's objects, runs a
    fresh algorithm instance from a picklable
    :class:`~repro.joins.registry.AlgorithmSpec`, and applies the shared
@@ -37,16 +33,14 @@ after another, :class:`ParallelChunkedJoin` actually ships them to a
    ``worker_seconds_sum`` (the sequential-equivalent work).
 
 Pair sets and summed counters are bit-identical to the sequential
-engines for the same ``(kind, n_chunks)`` — and identical between the
-shared-memory and pickle hand-offs; the parity suite
-(``tests/test_parallel_parity.py``) pins both for every registered
+engines for the same ``(kind, n_chunks)``; the parity suite
+(``tests/test_parallel_parity.py``) pins them for every registered
 algorithm.
 
 With ``geometry="exact"`` the engine runs the filter-refine split
 in-worker: vertex data travels next to the coordinates (a second
 shared-memory :class:`~repro.geometry.vertex_table.VertexTable` block
-sliced by the same row indices on the shm path, sliced vertex tables or
-shape payloads on the pickle paths), and each worker refines its
+sliced by the same row indices), and each worker refines its
 *owned* candidate pairs locally before they travel back.  Refining
 after the ownership test keeps the merge duplicate-free and makes the
 summed refine counters count every global candidate exactly once.
@@ -73,13 +67,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.geometry.columnar import (
-    HAVE_NUMPY,
-    HAVE_SHM,
-    CoordinateTable,
-    axes_overlap_mask,
-)
-from repro.geometry.mbr import MBR, total_mbr
+import numpy as np
+
+from repro.geometry.columnar import CoordinateTable, axes_overlap_mask
+from repro.geometry.mbr import total_mbr
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair, SpatialJoinAlgorithm
 from repro.joins.registry import AlgorithmSpec
@@ -156,8 +147,6 @@ class _ColumnarSlicer:
     Builds the table once and answers each region with a broadcast
     interval test — bit-identical to :meth:`Region.touches` (closed
     boxes, float64 comparisons) but without the per-object Python loop.
-    Chunk payloads come out as contiguous ``("table", coords, ids,
-    class_masks)`` buffers ready for IPC.
 
     With ``dedup="partition"`` membership switches to the two-layer
     index-range rule (:meth:`Decomposition.covers`) and every member is
@@ -165,12 +154,12 @@ class _ColumnarSlicer:
     shared-edge ruler via one ``searchsorted`` per partitioned axis —
     bit-identical to :meth:`Decomposition.owner_cell`'s ``bisect_right``.
 
-    With ``handoff="shm"`` the whole table is published once as a
-    shared-memory block in the constructor; every chunk then carries the
-    picklable :class:`~repro.geometry.columnar.SharedTableHandle` plus
-    the member row indices instead of sliced coordinate buffers, and
-    :meth:`close` unlinks the block (the engine calls it in
-    ``finally``).
+    The whole table is published once as a shared-memory block in the
+    constructor; every chunk then carries the picklable
+    :class:`~repro.geometry.columnar.SharedTableHandle` plus the member
+    row indices — ``("shm", handle, indices, class_masks)``, with the
+    vertex block's handle appended in exact mode — and :meth:`close`
+    unlinks the blocks (the engine calls it in ``finally``).
     """
 
     def __init__(
@@ -178,14 +167,11 @@ class _ColumnarSlicer:
         objects: list[SpatialObject],
         decomposition: Decomposition,
         dedup: str,
-        handoff: str = "pickle",
         exact: bool = False,
     ) -> None:
         self.table = CoordinateTable.from_objects(objects)
         self.dedup = dedup
-        self.handoff = handoff
-        self.block = self.table.to_shared() if handoff == "shm" else None
-        self.vtable = None
+        self.block = self.table.to_shared()
         self.vblock = None
         if exact:
             # Exact mode ships vertex data next to the coordinates: the
@@ -193,13 +179,9 @@ class _ColumnarSlicer:
             # shapes positionally.
             from repro.geometry.vertex_table import VertexTable
 
-            self.vtable = VertexTable.from_objects(objects)
-            if handoff == "shm":
-                self.vblock = self.vtable.to_shared()
+            self.vblock = VertexTable.from_objects(objects).to_shared()
         if dedup != "partition":
             return
-        import numpy as np
-
         table, dim = self.table, self.table.dim
         self._owner_lo, self._owner_hi = [], []
         for coordinate, axis in enumerate(decomposition.axes):
@@ -214,36 +196,15 @@ class _ColumnarSlicer:
 
     def close(self) -> None:
         """Unlink the published shared blocks (idempotent)."""
-        if self.block is not None:
-            self.block.close(unlink=True)
+        self.block.close(unlink=True)
         if self.vblock is not None:
             self.vblock.close(unlink=True)
 
     def _payload(self, member, classes):
-        import numpy as np
-
-        if self.block is not None:
-            indices = np.flatnonzero(member).astype(np.int64, copy=False)
-            if self.vblock is not None:
-                return (
-                    "shm",
-                    self.block.handle,
-                    indices,
-                    classes,
-                    self.vblock.handle,
-                )
-            return ("shm", self.block.handle, indices, classes)
-        table = self.table
-        if self.vtable is not None:
-            vertex_slice = self.vtable.take(np.flatnonzero(member))
-            return (
-                "table",
-                table.coords[member],
-                table.ids[member],
-                classes,
-                vertex_slice,
-            )
-        return ("table", table.coords[member], table.ids[member], classes)
+        indices = np.flatnonzero(member).astype(np.int64, copy=False)
+        if self.vblock is not None:
+            return ("shm", self.block.handle, indices, classes, self.vblock.handle)
+        return ("shm", self.block.handle, indices, classes)
 
     def chunk(self, region):
         table = self.table
@@ -252,8 +213,6 @@ class _ColumnarSlicer:
             if not mask.any():
                 return None
             return self._payload(mask, None)
-        import numpy as np
-
         member = np.ones(len(table), dtype=bool)
         for coordinate, cell in enumerate(region.cells):
             member &= self._owner_lo[coordinate] <= cell
@@ -268,80 +227,10 @@ class _ColumnarSlicer:
         return self._payload(member, classes)
 
 
-class _ObjectSlicer:
-    """Pure-Python fallback used when numpy is unavailable."""
-
-    def __init__(
-        self,
-        objects: list[SpatialObject],
-        decomposition: Decomposition,
-        dedup: str,
-        handoff: str = "pickle",
-        exact: bool = False,
-    ) -> None:
-        self.objects = objects
-        self.decomposition = decomposition
-        self.dedup = dedup
-        self.exact = exact
-
-    def close(self) -> None:
-        """Nothing published, nothing to release."""
-
-    def _payload(self, members, classes):
-        rows = [(o.oid, o.mbr.lo, o.mbr.hi) for o in members]
-        if not self.exact:
-            return ("objects", rows, classes)
-        from repro.geometry.shapes import shape_to_payload
-
-        return ("objects", rows, classes, [shape_to_payload(o.geometry) for o in members])
-
-    def chunk(self, region):
-        if self.dedup != "partition":
-            members = [o for o in self.objects if region.touches(o.mbr)]
-            if not members:
-                return None
-            return self._payload(members, None)
-        decomposition = self.decomposition
-        members = [o for o in self.objects if decomposition.covers(region, o.mbr)]
-        if not members:
-            return None
-        classes = [decomposition.class_mask(region, o.mbr) for o in members]
-        return self._payload(members, classes)
-
-
-def _make_slicer(
-    objects: list[SpatialObject],
-    decomposition,
-    dedup: str,
-    handoff: str,
-    exact: bool = False,
-):
-    slicer = _ColumnarSlicer if HAVE_NUMPY else _ObjectSlicer
-    return slicer(objects, decomposition, dedup, handoff, exact)
-
-
-#: Valid values of the ``handoff`` selector.
-HANDOFF_MODES = ("auto", "shm", "pickle")
-
 #: Valid values of the ``geometry`` selector (mirrors
 #: :data:`repro.bench.config.GEOMETRY_MODES`, which the engine must not
 #: import — the bench layer sits above the engines).
 GEOMETRY_MODES = ("mbr", "exact")
-
-
-def _resolve_handoff(handoff: str) -> str:
-    """Resolve ``"auto"`` against what this interpreter can actually do."""
-    if handoff == "pickle":
-        return "pickle"
-    usable = HAVE_NUMPY and HAVE_SHM
-    if handoff == "shm":
-        if not usable:
-            raise RuntimeError(
-                "handoff='shm' requires numpy and multiprocessing."
-                "shared_memory; use handoff='auto' to fall back"
-            )
-        return "shm"
-    return "shm" if usable else "pickle"
 
 
 # -- worker-side code ---------------------------------------------------
@@ -358,47 +247,19 @@ def _with_shapes(objects, vertex_table):
 def _unpack_chunk(payload):
     """Rebuild the region's objects (and class masks) inside the worker.
 
-    Exact-mode payloads carry one extra element of vertex data (a shared
-    vertex-table handle, a sliced :class:`VertexTable`, or shape
-    payloads), re-attached here so the worker can refine locally.
+    Attaches the parent's shared block, copies out just this region's
+    rows and detaches — the worker keeps no reference to the segment.
+    Exact-mode payloads carry the vertex block's handle as one extra
+    element; the same rows are sliced from it and the shapes re-attached
+    so the worker can refine locally.
     """
-    tag = payload[0]
-    if tag == "shm":
-        # Attach the parent's shared block, copy out just this region's
-        # rows, detach.  The worker keeps no reference to the segment.
-        if len(payload) == 5:
-            from repro.geometry.vertex_table import VertexTable
+    _tag, handle, indices, classes = payload[:4]
+    objects = CoordinateTable.shm_slice(handle, indices).to_objects()
+    if len(payload) == 5:
+        from repro.geometry.vertex_table import VertexTable
 
-            _tag, handle, indices, classes, vertex_handle = payload
-            objects = _with_shapes(
-                CoordinateTable.shm_slice(handle, indices).to_objects(),
-                VertexTable.shm_slice(vertex_handle, indices),
-            )
-            return objects, None if classes is None else classes.tolist()
-        _tag, handle, indices, classes = payload
-        objects = CoordinateTable.shm_slice(handle, indices).to_objects()
-        return objects, None if classes is None else classes.tolist()
-    if tag == "table":
-        if len(payload) == 5:
-            _tag, coords, ids, classes, vertex_slice = payload
-            objects = _with_shapes(
-                CoordinateTable(coords, ids).to_objects(), vertex_slice
-            )
-            return objects, None if classes is None else classes.tolist()
-        _tag, coords, ids, classes = payload
-        objects = CoordinateTable(coords, ids).to_objects()
-        return objects, None if classes is None else classes.tolist()
-    if len(payload) == 4:
-        from repro.geometry.shapes import shape_from_payload
-
-        _tag, rows, classes, shapes = payload
-        objects = [
-            SpatialObject(oid, MBR(lo, hi), shape_from_payload(shape, oid=oid))
-            for (oid, lo, hi), shape in zip(rows, shapes)
-        ]
-        return objects, classes
-    _tag, rows, classes = payload
-    return [SpatialObject(oid, MBR(lo, hi)) for oid, lo, hi in rows], classes
+        objects = _with_shapes(objects, VertexTable.shm_slice(payload[4], indices))
+    return objects, None if classes is None else classes.tolist()
 
 
 #: Per-worker spill counters surfaced in the parent's ``stats.extra``
@@ -558,13 +419,6 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
         nothing from the engine; see :mod:`repro.partition.classes`).
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``.
-    handoff:
-        How coordinate data reaches the workers.  ``"auto"`` (default):
-        one shared-memory block per side with per-region index views
-        when numpy and ``multiprocessing.shared_memory`` are available,
-        else the pickle path.  ``"shm"`` forces shared memory (raises
-        when unavailable); ``"pickle"`` forces the per-region pickled
-        buffers.  Pair sets and counters are identical either way.
     max_bytes:
         Optional total byte budget; each worker joins its regions under
         an equal share (``max_bytes // workers``, at least 1) through
@@ -604,7 +458,6 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
         axis: int = 0,
         dedup: str = "reference",
         start_method: str | None = None,
-        handoff: str = "auto",
         max_bytes: int | None = None,
         geometry: str = "mbr",
         refine_epsilon: float | None = None,
@@ -625,11 +478,6 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
             raise ValueError(
                 f"unknown dedup mode {dedup!r}; expected one of "
                 f"{', '.join(self.DEDUP_MODES)}"
-            )
-        if handoff not in HANDOFF_MODES:
-            raise ValueError(
-                f"unknown handoff mode {handoff!r}; expected one of "
-                f"{', '.join(HANDOFF_MODES)}"
             )
         if n_chunks is not None and n_chunks < 1:
             raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
@@ -680,7 +528,6 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
         self.kind = kind
         self.axis = axis
         self.dedup = dedup
-        self.handoff = handoff
         self.max_bytes = max_bytes
         self.geometry = geometry
         self.refine_epsilon = refine_epsilon
@@ -698,7 +545,6 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
             "decompose": self.kind,
             "axis": self.axis,
             "dedup": self.dedup,
-            "handoff": self.handoff,
             "max_bytes": self.max_bytes,
             "start_method": self.start_method,
         }
@@ -722,18 +568,15 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
         n_chunks = self.n_chunks or adaptive_chunk_count(
             len(objects_a) + len(objects_b), self.workers
         )
-        handoff = _resolve_handoff(self.handoff)
         stats.extra["workers"] = self.workers
         stats.extra["n_chunks"] = n_chunks
         stats.extra["decompose"] = self.kind
         stats.extra["dedup"] = self.dedup
-        stats.extra["handoff"] = handoff
         worker_max_bytes = (
             None if self.max_bytes is None else max(1, self.max_bytes // self.workers)
         )
         if worker_max_bytes is not None:
             stats.extra["worker_max_bytes"] = worker_max_bytes
-        stats.extra["pickled_coord_bytes"] = 0
         stats.extra["decompose_seconds"] = 0.0
         stats.extra["worker_join_seconds"] = 0.0
         stats.extra["merge_seconds"] = 0.0
@@ -755,16 +598,13 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
             if isinstance(self.spec, AlgorithmSpec):
                 backend = dict(self.spec.overrides).get("backend")
             refine = (self.refine_epsilon, backend or "auto")
-        slicer_a = _make_slicer(objects_a, decomposition, self.dedup, handoff, exact)
+        slicer_a = _ColumnarSlicer(objects_a, decomposition, self.dedup, exact)
         try:
-            slicer_b = _make_slicer(
-                objects_b, decomposition, self.dedup, handoff, exact
-            )
+            slicer_b = _ColumnarSlicer(objects_b, decomposition, self.dedup, exact)
         except BaseException:
             slicer_a.close()
             raise
         try:
-            pickled_coord_bytes = 0
             tasks = []
             for region in decomposition.regions:
                 chunk_a = slicer_a.chunk(region)
@@ -773,9 +613,6 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
                 chunk_b = slicer_b.chunk(region)
                 if chunk_b is None:
                     continue
-                for chunk in (chunk_a, chunk_b):
-                    if chunk[0] == "table":
-                        pickled_coord_bytes += chunk[1].nbytes + chunk[2].nbytes
                 tasks.append(
                     (
                         spec,
@@ -788,10 +625,6 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
                         refine,
                     )
                 )
-            # Instrumented so tests can assert the shm hot path never
-            # pickles a coordinate buffer (indices and ids of the pickle
-            # fallback are the only numeric payloads).
-            stats.extra["pickled_coord_bytes"] = pickled_coord_bytes
             stats.extra["decompose_seconds"] = time.perf_counter() - start
             stats.extra["decompose"] = decomposition.kind
             if not tasks:

@@ -21,12 +21,7 @@ decisions (the same discipline the MBR kernels follow):
 
 from __future__ import annotations
 
-from repro.geometry.columnar import require_numpy
-
-try:  # pragma: no cover - numpy import guarded like columnar.py
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 __all__ = ["box_gap_sq_batch", "min_cross_sq", "segments_array"]
 
@@ -37,7 +32,6 @@ def box_gap_sq_batch(lo_a, hi_a, lo_b, hi_b):
     NaN rows (missing interior rectangles) propagate to NaN gaps, which
     compare ``False`` against any epsilon — exactly "no shortcut".
     """
-    require_numpy()
     gap = np.maximum(lo_a - hi_b, lo_b - hi_a)
     gap = np.maximum(gap, 0.0)
     return (gap * gap).sum(axis=1)
@@ -45,7 +39,6 @@ def box_gap_sq_batch(lo_a, hi_a, lo_b, hi_b):
 
 def segments_array(shape):
     """A shape's boundary as an ``(n, 4)`` float64 segment array."""
-    require_numpy()
     return np.asarray(shape.segments(), dtype=np.float64).reshape(-1, 4)
 
 
@@ -57,7 +50,6 @@ def min_cross_sq(segs_a, segs_b) -> float:
     with the same operations in the same order, so the minimum is the
     same float the scalar loop finds.
     """
-    require_numpy()
     A = segs_a[:, None, :]
     B = segs_b[None, :, :]
     ax, ay, bx, by = A[..., 0], A[..., 1], A[..., 2], A[..., 3]

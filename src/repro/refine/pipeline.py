@@ -30,15 +30,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.geometry.columnar import HAVE_NUMPY, resolve_backend
+import numpy as np
+
+from repro.geometry.columnar import resolve_backend
 from repro.geometry.shapes import box_gap_sq, shape_distance_sq
 from repro.geometry.vertex_table import shape_of
 from repro.stats.counters import JoinStatistics
-
-try:  # pragma: no cover - numpy import guarded like columnar.py
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["RefinePipeline", "MissingShapesError"]
 
@@ -141,7 +138,7 @@ class RefinePipeline:
         stats.candidate_pairs += len(pairs)
         if not pairs:
             return []
-        columnar = self.backend in ("columnar", "compiled") and HAVE_NUMPY
+        columnar = self.backend in ("columnar", "compiled")
         side_a = _Side(objects_a, columnar)
         side_b = _Side(objects_b, columnar)
         if columnar:

@@ -10,9 +10,8 @@ where the jitted kernels must produce the same answers.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.local_join import (
     flatten_hierarchy,

@@ -99,23 +99,6 @@ def engine_results(name: str, objects_a, objects_b, backend: str | None = None):
                     f"{kind}:{dedup}",
                     parallel.join(objects_a, objects_b),
                 )
-        # One forced-pickle run per (kind, dedup): the shared-memory
-        # hand-off (the auto default above) and the pickled-buffer path
-        # must produce byte-identical pairs and counters.
-        for dedup in DEDUP_MODES:
-            parallel = ParallelChunkedJoin(
-                spec,
-                workers=2,
-                n_chunks=N_CHUNKS,
-                kind=kind,
-                dedup=dedup,
-                handoff="pickle",
-            )
-            yield (
-                f"parallel:{kind}:2w:{dedup}:pickle",
-                f"{kind}:{dedup}",
-                parallel.join(objects_a, objects_b),
-            )
 
 
 def assert_engine_parity(name: str, objects_a, objects_b, backend=None):
@@ -140,12 +123,6 @@ def assert_engine_parity(name: str, objects_a, objects_b, backend=None):
             f"{name} via {label}: summed comparisons {result.stats.comparisons} "
             f"!= {expected} of the first {counter_key} engine"
         )
-        # Engine runs that resolved to the shm hand-off must not have
-        # pickled a single coordinate buffer on the hot path.
-        if result.stats.extra.get("handoff") == "shm":
-            assert result.stats.extra.get("pickled_coord_bytes") == 0, (
-                f"{name} via {label}: shm hand-off pickled coordinate buffers"
-            )
 
 
 class TestEveryAlgorithm:
@@ -163,7 +140,6 @@ class TestEveryBackend:
     @pytest.mark.parametrize("name", sorted(BACKEND_AWARE))
     @pytest.mark.parametrize("backend", ["object", "columnar", "compiled"])
     def test_engine_parity(self, name, backend, monkeypatch):
-        pytest.importorskip("numpy")
         objects_a, objects_b = DATASETS["uniform"]
         if backend != "compiled":
             assert_engine_parity(name, objects_a, objects_b, backend=backend)
@@ -181,7 +157,6 @@ class TestEveryBackend:
             shutdown_pools()
 
     def test_backends_agree_under_the_parallel_engine(self):
-        pytest.importorskip("numpy")
         objects_a, objects_b = DATASETS["uniform"]
         results = {}
         for backend in ("object", "columnar"):

@@ -37,6 +37,17 @@ class TestRunOptionsObject:
         assert options.reuse_index is None
         assert options.describe() == {}
 
+    def test_fields(self):
+        assert [field.name for field in dataclasses.fields(RunOptions)] == [
+            "workers",
+            "decompose",
+            "dedup",
+            "backend",
+            "reuse_index",
+            "max_bytes",
+            "geometry",
+        ]
+
     def test_frozen(self):
         options = RunOptions(workers=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -208,46 +219,3 @@ class TestRunAlgorithmPrecedence:
                 EPS,
                 options=RunOptions(workers=2, reuse_index=True),
             )
-
-
-class TestHandoffOption:
-    """The shared-memory hand-off mode rides the same options stack."""
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="unknown handoff mode"):
-            RunOptions(handoff="carrier-pigeon")
-
-    def test_modes_match_engine(self):
-        from repro.bench.config import HANDOFF_MODES
-        from repro.parallel.engine import HANDOFF_MODES as ENGINE_MODES
-
-        assert HANDOFF_MODES == ENGINE_MODES
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HANDOFF", "pickle")
-        assert RunOptions.from_env().handoff == "pickle"
-        monkeypatch.setenv("REPRO_HANDOFF", "postal")
-        with pytest.raises(ValueError, match="REPRO_HANDOFF"):
-            RunOptions.from_env()
-
-    def test_over_and_describe(self):
-        base = RunOptions(handoff="shm")
-        assert base.over(RunOptions()).handoff == "shm"
-        assert RunOptions(handoff="pickle").over(base).handoff == "pickle"
-        assert base.describe() == {"handoff": "shm"}
-
-    @pytest.mark.parallel
-    def test_handoff_flows_to_engine(self, pair):
-        a, b = pair
-        record = run_algorithm(
-            "TOUCH", a, b, EPS, options=RunOptions(workers=2, handoff="pickle")
-        )
-        assert record.extra["handoff"] == "pickle"
-        assert record.extra["pickled_coord_bytes"] > 0
-
-    @pytest.mark.parallel
-    def test_env_handoff_flows_through(self, pair, monkeypatch):
-        a, b = pair
-        monkeypatch.setenv("REPRO_HANDOFF", "pickle")
-        record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=2))
-        assert record.extra["handoff"] == "pickle"

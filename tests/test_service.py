@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -10,8 +12,9 @@ from repro.bench.config import RunOptions
 from repro.bench.runner import run_algorithm
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import uniform_boxes
-from repro.geometry.columnar import HAVE_NUMPY
 from repro.geometry.mbr import MBR
+from repro.geometry.objects import SpatialObject
+from repro.geometry.shapes import KIND_CODES, LineString, Polygon
 from repro.joins.registry import available, make_algorithm
 from repro.service import (
     IndexCache,
@@ -56,15 +59,54 @@ class TestFingerprint:
     def test_empty_dataset(self):
         assert isinstance(dataset_fingerprint([]), str)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs both paths to compare")
-    def test_pure_python_fallback_matches_columnar_digest(self, pair, monkeypatch):
-        """Without numpy the struct-packed stream must digest identically."""
-        import repro.service.fingerprint as fp
+    @staticmethod
+    def reference_digest(objects) -> str:
+        """The fingerprint byte format, spelled out with struct.
 
-        a, _ = pair
-        with_numpy = dataset_fingerprint(list(a))
-        monkeypatch.setattr(fp, "HAVE_NUMPY", False)
-        assert fp.dataset_fingerprint(list(a)) == with_numpy
+        int64-LE ids, then float64-LE ``lo + hi`` rows, then per shaped
+        object its ``(position, kind code, vertex count)`` int64-LE
+        header followed by its float64-LE vertices.
+        """
+        digest = hashlib.sha256()
+        for obj in objects:
+            digest.update(struct.pack("<q", obj.oid))
+        for obj in objects:
+            row = (*obj.mbr.lo, *obj.mbr.hi)
+            digest.update(struct.pack(f"<{len(row)}d", *row))
+        for position, obj in enumerate(objects):
+            shape = obj.geometry
+            if shape is None:
+                continue
+            vertices = shape.vertices
+            digest.update(
+                struct.pack("<qqq", position, KIND_CODES[shape.kind], len(vertices))
+            )
+            for vertex in vertices:
+                digest.update(struct.pack(f"<{len(vertex)}d", *vertex))
+        return digest.hexdigest()
+
+    def test_digest_matches_reference_byte_format(self):
+        plain = [
+            SpatialObject(3, MBR((0.0, 1.0), (2.0, 3.5))),
+            SpatialObject(-7, MBR((-1.25, 4.0), (0.5, 6.0))),
+            SpatialObject(42, MBR((10.0, 10.0), (10.0, 12.0))),
+        ]
+        triangle = Polygon([(-1.25, 4.0), (0.5, 4.0), (0.0, 6.0)], oid=-7)
+        segment = LineString([(10.0, 10.0), (10.0, 12.0)], oid=42)
+        shaped = [
+            plain[0],
+            SpatialObject(-7, plain[1].mbr, triangle),
+            SpatialObject(42, plain[2].mbr, segment),
+        ]
+        assert dataset_fingerprint(plain) == self.reference_digest(plain)
+        assert dataset_fingerprint(shaped) == self.reference_digest(shaped)
+        # Pinned literals: cache keys must not drift across releases.
+        assert dataset_fingerprint(plain) == (
+            "848d24e84e96b8974d6473aea6d43ca95efeb26a383b4223bde12b74c6234d8b"
+        )
+        assert dataset_fingerprint(shaped) == (
+            "481846d27e62ad563c1d4850b0585e58a9786641fc4b6b990e6ec87125c1ee9e"
+        )
 
 
 class TestIndexCache:
@@ -188,7 +230,6 @@ class TestServiceSemantics:
         assert again.parameters["cache"] == "warm"
         assert service.stats()["cold_builds"] == 3
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="both backends require numpy")
     def test_backend_change_misses_the_cache(self, pair):
         a, b = pair
         service = SpatialQueryService(capacity=4)

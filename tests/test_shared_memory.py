@@ -3,11 +3,13 @@
 The parallel engine publishes each dataset once as a
 ``multiprocessing.shared_memory`` block and ships only row indices to
 workers (``tests/test_parallel_parity.py`` pins the pair parity against
-the pickle path engine-wide).  These tests pin the primitive layer:
+the sequential engines).  These tests pin the primitive layer:
 publish / attach / slice round-trips, handle pickling, the
 unlink-on-close lifecycle that must never strand ``/dev/shm`` segments,
-and the engine's crash behaviour (a killed worker surfaces as
-:class:`~repro.parallel.engine.WorkerCrashError`, segments still freed).
+the shape of every region payload (indices and handles, never a
+coordinate buffer), and the engine's crash behaviour (a killed worker
+surfaces as :class:`~repro.parallel.engine.WorkerCrashError`, segments
+still freed).
 """
 
 from __future__ import annotations
@@ -15,25 +17,21 @@ from __future__ import annotations
 import glob
 import pickle
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.datasets import uniform_boxes
-from repro.geometry.columnar import (
-    HAVE_SHM,
-    CoordinateTable,
-    SharedTableHandle,
-)
+from repro.datasets.synthetic import clustered_polygons
+from repro.geometry.columnar import CoordinateTable, SharedTableHandle
+from repro.geometry.mbr import total_mbr
+from repro.geometry.vertex_table import SharedVertexHandle
 from repro.joins.registry import make_algorithm
+from repro.parallel.decompose import Decomposition
 from repro.parallel.engine import (
     ParallelChunkedJoin,
     WorkerCrashError,
+    _ColumnarSlicer,
     shutdown_pools,
-)
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_SHM, reason="multiprocessing.shared_memory unavailable"
 )
 
 
@@ -109,6 +107,50 @@ class TestSharedBlockLifecycle:
             assert len(view) == 0 and view.dim == empty.dim
 
 
+def _float64_arrays(value):
+    """Every float64 ndarray reachable through tuples/lists/handles."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.dtype == np.float64 else []
+    if isinstance(value, (tuple, list)):
+        return [found for item in value for found in _float64_arrays(item)]
+    return []
+
+
+class TestRegionPayloads:
+    """What crosses the process boundary per region: handles + indices."""
+
+    @pytest.mark.parametrize("kind", ["slabs", "tiles"])
+    @pytest.mark.parametrize("dedup", ["reference", "partition"])
+    @pytest.mark.parametrize("exact", [False, True], ids=["mbr", "exact"])
+    def test_chunks_carry_indices_never_coordinates(self, kind, dedup, exact):
+        objects = list(clustered_polygons(200, space=50.0, n_clusters=5, seed=3))
+        universe = total_mbr(o.mbr for o in objects)
+        decomposition = Decomposition.build(universe, kind=kind, n_chunks=4)
+        before = _segments()
+        slicer = _ColumnarSlicer(objects, decomposition, dedup, exact)
+        try:
+            payloads = [slicer.chunk(region) for region in decomposition.regions]
+            payloads = [payload for payload in payloads if payload is not None]
+            assert payloads
+            for payload in payloads:
+                assert len(payload) == (5 if exact else 4)
+                tag, handle, indices, classes = payload[:4]
+                assert tag == "shm"
+                assert isinstance(handle, SharedTableHandle)
+                assert indices.dtype == np.int64 and indices.ndim == 1
+                if dedup == "partition":
+                    assert classes.dtype == np.int64
+                    assert len(classes) == len(indices)
+                else:
+                    assert classes is None
+                if exact:
+                    assert isinstance(payload[4], SharedVertexHandle)
+                assert _float64_arrays(payload) == []
+        finally:
+            slicer.close()
+        assert _segments() == before
+
+
 @pytest.mark.parallel
 class TestEngineShmLifecycle:
     """Fault injection: the parent must clean up whatever workers do."""
@@ -131,17 +173,13 @@ class TestEngineShmLifecycle:
         objects_a, objects_b = self._datasets()
         monkeypatch.setattr(engine, "_run_chunk", _kill_worker)
         before = _segments()
-        join = ParallelChunkedJoin(
-            "TOUCH", workers=2, n_chunks=4, handoff="shm"
-        )
+        join = ParallelChunkedJoin("TOUCH", workers=2, n_chunks=4)
         with pytest.raises(WorkerCrashError) as crash:
             join.join(objects_a, objects_b)
-        # The error carries the engine's statistics: handoff mode and
-        # the crash marker are visible to callers.
+        # The error carries the engine's statistics: the crash marker
+        # is visible to callers.
         stats = crash.value.stats
         assert stats.extra["worker_crashed"] is True
-        assert stats.extra["handoff"] == "shm"
-        assert stats.extra["pickled_coord_bytes"] == 0
         assert _segments() == before
 
     def test_engine_recovers_after_crash(self, monkeypatch):
@@ -164,25 +202,10 @@ class TestEngineShmLifecycle:
     def test_normal_run_leaves_no_segments(self):
         objects_a, objects_b = self._datasets()
         before = _segments()
-        result = ParallelChunkedJoin(
-            "TOUCH", workers=2, n_chunks=4, handoff="shm"
-        ).join(objects_a, objects_b)
-        assert _segments() == before
-        assert result.stats.extra["pickled_coord_bytes"] == 0
-
-    def test_forced_shm_without_support_raises(self, monkeypatch):
-        import repro.parallel.engine as engine
-
-        objects_a, objects_b = self._datasets()
-        monkeypatch.setattr(engine, "HAVE_SHM", False)
-        join = ParallelChunkedJoin("TOUCH", workers=1, handoff="shm")
-        with pytest.raises(RuntimeError, match="shm"):
-            join.join(objects_a, objects_b)
-        # auto degrades instead of raising
-        auto = ParallelChunkedJoin("TOUCH", workers=1, n_chunks=2).join(
+        ParallelChunkedJoin("TOUCH", workers=2, n_chunks=4).join(
             objects_a, objects_b
         )
-        assert auto.stats.extra["handoff"] == "pickle"
+        assert _segments() == before
 
 
 def _kill_worker(task):
