@@ -133,10 +133,10 @@ def join_assigned_nodes_columnar(
     for node, b_rows in assigned.items():
         if len(b_rows) == 0:
             continue
-        a_rows = _subtree_rows(node, leaf_slices)
-        if len(a_rows) == 0:
+        start, stop = _subtree_span(node, leaf_slices)
+        if stop == start:
             continue
-        sub_a = table_a.take(a_rows)
+        sub_a = table_a.take(slice(start, stop))
         sub_b = table_b.take(b_rows)
         if kernel_name == "grid":
             hit_a, hit_b = kernel_table["grid"](
@@ -149,7 +149,7 @@ def join_assigned_nodes_columnar(
         else:
             hit_a, hit_b = kernel_table[kernel_name](sub_a, sub_b, stats)
         if len(hit_a):
-            oid_a = ids_a[a_rows[hit_a]]
+            oid_a = ids_a[start + hit_a]
             oid_b = ids_b[np.asarray(b_rows)[hit_b]]
             pairs.extend(zip(oid_a.tolist(), oid_b.tolist()))
     return pairs
@@ -325,34 +325,34 @@ def probe_assigned_nodes_compiled(
     )
 
 
-def leaf_order_table(tree: TouchTree):
+def leaf_order_table(tree: TouchTree, table: CoordinateTable, leaf_rows):
     """Dataset A as a coordinate table in leaf order, plus leaf slices.
 
-    Building the table leaf-by-leaf makes every leaf a contiguous row
-    range, so gathering the A objects under any node is a concatenation
-    of ranges rather than a scattered copy.
+    ``table`` is the table the tree was built from and ``leaf_rows`` the
+    row order :meth:`TouchTree.build` returned with the tree.  Laying A
+    out leaf by leaf makes every leaf — and every subtree — a
+    contiguous row range, so the A objects under any node are one slice
+    of the table rather than a gathered copy.
     """
-    objects: list[SpatialObject] = []
     slices: dict[TouchNode, tuple[int, int]] = {}
+    start = 0
     for leaf in tree.leaves():
-        start = len(objects)
-        objects.extend(leaf.entities_a)
-        slices[leaf] = (start, len(objects))
-    return CoordinateTable.from_objects(objects), slices
+        stop = start + len(leaf.entities_a)
+        slices[leaf] = (start, stop)
+        start = stop
+    return table.take(leaf_rows), slices
 
 
-def _subtree_rows(node: TouchNode, leaf_slices: "dict[TouchNode, tuple[int, int]]"):
-    """Row indices of ``table_a`` for all A objects under ``node``."""
-    if node.is_leaf:
-        start, stop = leaf_slices[node]
-        return np.arange(start, stop, dtype=np.int64)
-    ranges = [
-        leaf_slices[child]
-        for child in node.iter_subtree()
-        if child.is_leaf
-    ]
-    if not ranges:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(
-        [np.arange(start, stop, dtype=np.int64) for start, stop in ranges]
-    )
+def _subtree_span(node: TouchNode, leaf_slices: "dict[TouchNode, tuple[int, int]]"):
+    """``[start, stop)`` rows of the leaf-order table under ``node``.
+
+    :meth:`TouchTree.leaves` lists a subtree's leaves consecutively:
+    pre-order pops the last child first, so the subtree's first leaf is
+    reached through last children and its last leaf through first ones.
+    """
+    first = last = node
+    while not first.is_leaf:
+        first = first.children[-1]
+    while not last.is_leaf:
+        last = last.children[0]
+    return leaf_slices[first][0], leaf_slices[last][1]

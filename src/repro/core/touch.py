@@ -162,19 +162,21 @@ class TouchJoin(SpatialJoinAlgorithm):
         backend = resolve_backend(self.backend)
         stats.extra["backend"] = backend
 
-        # Phase 1: hierarchical data-oriented partitioning of A.
+        # Phase 1: hierarchical data-oriented partitioning of A, built
+        # on A's coordinate table (the columnar backends keep its rows).
         build_start = time.perf_counter()
-        tree = TouchTree(
-            objects_a,
-            fanout=self.fanout,
-            num_partitions=self.num_partitions,
-            leaf_capacity=self.leaf_capacity,
-        )
+        table_a = CoordinateTable.from_objects(objects_a)
+        tree, leaf_rows = self._build_tree(objects_a, table_a)
         stats.build_seconds = time.perf_counter() - build_start
 
         if backend in ("columnar", "compiled"):
             pairs = self._execute_columnar(
-                tree, objects_b, stats, compiled=backend == "compiled"
+                tree,
+                table_a,
+                leaf_rows,
+                objects_b,
+                stats,
+                compiled=backend == "compiled",
             )
         else:
             pairs = self._execute_object(tree, objects_b, stats)
@@ -183,6 +185,15 @@ class TouchJoin(SpatialJoinAlgorithm):
         stats.extra["tree_nodes"] = tree.node_count()
         self.last_tree = tree
         return pairs
+
+    def _build_tree(self, objects_a, table_a):
+        return TouchTree.build(
+            objects_a,
+            table_a,
+            fanout=self.fanout,
+            num_partitions=self.num_partitions,
+            leaf_capacity=self.leaf_capacity,
+        )
 
     # -- build/probe lifecycle -----------------------------------------
     def _build(self, objects_a, stats):
@@ -196,15 +207,11 @@ class TouchJoin(SpatialJoinAlgorithm):
         if not objects_a:
             return None
         backend = resolve_backend(self.backend)
-        tree = TouchTree(
-            objects_a,
-            fanout=self.fanout,
-            num_partitions=self.num_partitions,
-            leaf_capacity=self.leaf_capacity,
-        )
+        table_a = CoordinateTable.from_objects(objects_a)
+        tree, leaf_rows = self._build_tree(objects_a, table_a)
         payload = {"tree": tree, "backend": backend}
         if backend in ("columnar", "compiled"):
-            table_a, leaf_slices = leaf_order_table(tree)
+            table_a, leaf_slices = leaf_order_table(tree, table_a, leaf_rows)
             payload["table_a"] = table_a
             payload["leaf_slices"] = leaf_slices
             if backend == "compiled":
@@ -353,6 +360,8 @@ class TouchJoin(SpatialJoinAlgorithm):
     def _execute_columnar(
         self,
         tree: TouchTree,
+        table_a: CoordinateTable,
+        leaf_rows,
         objects_b: list[SpatialObject],
         stats: JoinStatistics,
         compiled: bool = False,
@@ -370,7 +379,7 @@ class TouchJoin(SpatialJoinAlgorithm):
         # shortcut (identical pair set; the descent's comparison counters
         # reflect the hierarchy walk rather than grid candidates).
         join_start = time.perf_counter()
-        table_a, leaf_slices = leaf_order_table(tree)
+        table_a, leaf_slices = leaf_order_table(tree, table_a, leaf_rows)
         flat_bytes = 0
         if compiled and self.local_kernel == "grid":
             flat = flatten_hierarchy(tree, leaf_slices)

@@ -18,9 +18,12 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from repro.geometry.mbr import MBR, total_mbr
+import numpy as np
+
+from repro.geometry.columnar import CoordinateTable, concat_ranges
+from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
-from repro.rtree.str_pack import str_partition
+from repro.rtree.str_pack import str_tile
 from repro.stats import memory as memmodel
 
 __all__ = ["TouchNode", "TouchTree", "DEFAULT_FANOUT", "DEFAULT_PARTITIONS"]
@@ -107,6 +110,10 @@ class TouchTree:
         given.
     leaf_capacity:
         Direct bucket capacity override.
+
+    The build runs on A's coordinate table (:meth:`build`): every level
+    is one STR tiling of the level below by box centre, and node bounds
+    are segment reductions over the tiled rows.
     """
 
     def __init__(
@@ -116,6 +123,40 @@ class TouchTree:
         num_partitions: int | None = DEFAULT_PARTITIONS,
         leaf_capacity: int | None = None,
     ) -> None:
+        self._build(objects_a, None, fanout, num_partitions, leaf_capacity)
+
+    @classmethod
+    def build(
+        cls,
+        objects_a: Sequence[SpatialObject],
+        table_a: CoordinateTable | None = None,
+        fanout: int = DEFAULT_FANOUT,
+        num_partitions: int | None = DEFAULT_PARTITIONS,
+        leaf_capacity: int | None = None,
+    ) -> "tuple[TouchTree, np.ndarray]":
+        """Build the tree and return it with A's rows in leaf order.
+
+        ``table_a`` is ``objects_a`` as a coordinate table (row ``i`` is
+        ``objects_a[i]``); it is converted here when omitted.  The
+        returned ``leaf_rows`` lists the rows of ``table_a`` leaf by
+        leaf in :meth:`leaves` order, so a columnar caller lays A out in
+        leaf order with one ``table_a.take(leaf_rows)``.  The tree keeps
+        neither the table nor the row array.
+        """
+        tree = cls.__new__(cls)
+        leaf_rows = tree._build(
+            objects_a, table_a, fanout, num_partitions, leaf_capacity
+        )
+        return tree, leaf_rows
+
+    def _build(
+        self,
+        objects_a: Sequence[SpatialObject],
+        table_a: CoordinateTable | None,
+        fanout: int,
+        num_partitions: int | None,
+        leaf_capacity: int | None,
+    ) -> np.ndarray:
         if not objects_a:
             raise ValueError("cannot build a TOUCH tree on an empty dataset")
         if fanout < 2:
@@ -133,38 +174,31 @@ class TouchTree:
                 leaf_capacity = max(1, math.ceil(n / num_partitions))
         if leaf_capacity < 1:
             raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
+        if table_a is None:
+            table_a = CoordinateTable.from_objects(objects_a)
 
         self.fanout = fanout
         self.leaf_capacity = leaf_capacity
-        self.dim = objects_a[0].mbr.dim
+        self.dim = table_a.dim
         self.n_objects_a = n
-        self.root = self._build(list(objects_a))
 
-    def _build(self, objects: list[SpatialObject]) -> TouchNode:
-        buckets = str_partition(
-            objects,
-            self.leaf_capacity,
-            center_of=lambda o: o.mbr.center(),
-            dim=self.dim,
+        # Level 0: STR buckets of A's rows; above it, STR groups of
+        # ``fanout`` nodes of the level below, until one node is left.
+        nodes, lo, hi, row_order, row_bounds = _pack_level(
+            objects_a, table_a.lo, table_a.hi, leaf_capacity, level=0
         )
-        nodes = [
-            TouchNode(total_mbr(o.mbr for o in bucket), level=0, entities_a=bucket)
-            for bucket in buckets
-        ]
+        bucket_of = {leaf: bucket for bucket, leaf in enumerate(nodes)}
         level = 0
         while len(nodes) > 1:
             level += 1
-            groups = str_partition(
-                nodes,
-                self.fanout,
-                center_of=lambda node: node.mbr.center(),
-                dim=self.dim,
-            )
-            nodes = [
-                TouchNode(total_mbr(n.mbr for n in group), level=level, children=group)
-                for group in groups
-            ]
-        return nodes[0]
+            nodes, lo, hi, _, _ = _pack_level(nodes, lo, hi, fanout, level)
+        self.root = nodes[0]
+
+        buckets = np.array([bucket_of[leaf] for leaf in self.leaves()])
+        _, positions = concat_ranges(
+            row_bounds[buckets], row_bounds[buckets + 1] - row_bounds[buckets]
+        )
+        return row_order[positions]
 
     # -- inspection -------------------------------------------------------
     def iter_nodes(self) -> Iterator[TouchNode]:
@@ -201,3 +235,52 @@ class TouchTree:
             + memmodel.reference_list_bytes(self.n_objects_a)
             + memmodel.reference_list_bytes(self.assigned_b_count())
         )
+
+
+def _pack_level(members, lo, hi, capacity: int, level: int):
+    """One STR level: nodes over groups of ``members``.
+
+    ``members`` are A's objects at level 0 and the nodes of the level
+    below above it; ``lo`` / ``hi`` are their corners as ``(n, D)``
+    arrays.  Returns the new nodes, their corner arrays, and the tiling
+    ``(order, bounds)`` of :func:`~repro.rtree.str_pack.str_tile`.
+    """
+    order, bounds = str_tile((lo + hi) / 2.0, capacity)
+    node_lo, lo_rows = _bound_rows(lo, order, bounds, np.minimum)
+    node_hi, hi_rows = _bound_rows(hi, order, bounds, np.maximum)
+    tiled = [members[i] for i in order.tolist()]
+    edges = bounds.tolist()
+    nodes = []
+    for begin, end, lo_row, hi_row in zip(
+        edges[:-1], edges[1:], lo_rows.tolist(), hi_rows.tolist()
+    ):
+        # Reuse the member's own float for every bound, as ``total_mbr``
+        # does, rather than a copy per node.
+        mbr = MBR(
+            tuple(members[row].mbr.lo[d] for d, row in enumerate(lo_row)),
+            tuple(members[row].mbr.hi[d] for d, row in enumerate(hi_row)),
+        )
+        group = tiled[begin:end]
+        if level == 0:
+            nodes.append(TouchNode(mbr, level, entities_a=group))
+        else:
+            nodes.append(TouchNode(mbr, level, children=group))
+    return nodes, node_lo, node_hi, order, bounds
+
+
+def _bound_rows(values, order, bounds, reduce):
+    """Group bounds of ``values`` and, per group and dimension, the row
+    of the first member (in tile order) attaining the bound.
+
+    Groups are ``order[bounds[g]:bounds[g + 1]]``; ``reduce`` is
+    ``np.minimum`` for low corners and ``np.maximum`` for high ones.
+    """
+    tiled = values[order]
+    starts = bounds[:-1]
+    bound = reduce.reduceat(tiled, starts, axis=0)
+    attains = tiled == np.repeat(bound, np.diff(bounds), axis=0)
+    rows = np.empty(bound.shape, dtype=np.int64)
+    for d in range(values.shape[1]):
+        hits = np.flatnonzero(attains[:, d])
+        rows[:, d] = order[hits[np.searchsorted(hits, starts)]]
+    return bound, rows

@@ -153,14 +153,16 @@ class CoordinateTable:
                 np.empty((0, 2 * dim), dtype=np.float64),
                 np.empty(0, dtype=np.int64),
             )
-        dim = objects[0].mbr.dim
-        coords = np.empty((len(objects), 2 * dim), dtype=np.float64)
-        ids = np.empty(len(objects), dtype=np.int64)
-        for i, obj in enumerate(objects):
-            mbr = obj.mbr
-            coords[i, :dim] = mbr.lo
-            coords[i, dim:] = mbr.hi
-            ids[i] = obj.oid
+        # ``lo + hi`` concatenates the two corner tuples into one row;
+        # streaming the rows keeps no list of them alive.
+        coords = np.fromiter(
+            (obj.mbr.lo + obj.mbr.hi for obj in objects),
+            dtype=(np.float64, 2 * objects[0].mbr.dim),
+            count=len(objects),
+        )
+        ids = np.fromiter(
+            (obj.oid for obj in objects), dtype=np.int64, count=len(objects)
+        )
         return cls(coords, ids)
 
     @classmethod
@@ -237,7 +239,8 @@ class CoordinateTable:
         ]
 
     def take(self, indices) -> "CoordinateTable":
-        """Row subset (fancy index) as a new table."""
+        """Row subset as a new table: a copy for a fancy index, a view
+        of this table's arrays for a slice."""
         return CoordinateTable(self.coords[indices], self.ids[indices])
 
     def bounds(self):
@@ -431,9 +434,10 @@ def concat_ranges(starts, counts):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     anchors = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    positions = np.arange(total, dtype=np.int64) - offsets[anchors]
-    return anchors, starts[anchors] + positions
+    offsets = np.cumsum(counts) - counts
+    return anchors, np.arange(total, dtype=np.int64) + np.repeat(
+        starts - offsets, counts
+    )
 
 
 def chunk_boundaries(counts, chunk: int):

@@ -122,7 +122,7 @@ class ColumnarGrid:
         The per-object cell blocks are enumerated with the repeat/cumsum
         trick: every object contributes ``prod(hi - lo + 1)`` entries and
         the within-block flat position is unravelled into per-dimension
-        offsets with integer strides — no Python loop over objects.
+        offsets by repeated ``divmod`` — no Python loop over objects.
 
         With ``with_class_masks=True`` a third array is returned: the
         two-layer class mask of each entry, bit ``d`` set iff the cell is
@@ -132,24 +132,37 @@ class ColumnarGrid:
         from a lower neighbour (classes B/C/D in 2-D).
         """
         lo_idx, hi_idx = self.index_ranges(table)
-        spans = hi_idx - lo_idx + 1
+        return self.range_entries(lo_idx, hi_idx, with_class_masks)
+
+    def range_entries(self, lo_idx, hi_idx, with_class_masks: bool = False):
+        """:meth:`entries` of given inclusive per-row cell-index ranges.
+
+        Row ``i`` covers the cells ``lo_idx[i] .. hi_idx[i]``; an empty
+        range (``hi < lo`` in some dimension) contributes no entry, so a
+        caller may clip the ranges of :meth:`index_ranges` to a window
+        first.  Class masks are taken relative to ``lo_idx``.
+        """
+        spans = np.maximum(hi_idx - lo_idx + 1, 0)
         per_object = spans.prod(axis=1)
         obj_idx, flat_pos = concat_ranges(
-            np.zeros(len(table), dtype=np.int64), per_object
+            np.zeros(len(spans), dtype=np.int64), per_object
         )
         if len(obj_idx) == 0:
             if with_class_masks:
                 return obj_idx, flat_pos, flat_pos.copy()
             return obj_idx, flat_pos
-        dim = self.dim
-        strides = np.ones_like(spans)
-        for d in range(dim - 2, -1, -1):
-            strides[:, d] = strides[:, d + 1] * spans[:, d + 1]
-        keys = np.zeros(len(obj_idx), dtype=np.int64)
+        # Unravel each within-block position into per-dimension offsets,
+        # last dimension first (row-major), with per-object values
+        # repeated out to the entries rather than gathered per entry.
+        keys = np.repeat(lo_idx @ self._radix, per_object)
         masks = np.zeros(len(obj_idx), dtype=np.int64) if with_class_masks else None
-        for d in range(dim):
-            offset = (flat_pos // strides[obj_idx, d]) % spans[obj_idx, d]
-            keys += (lo_idx[obj_idx, d] + offset) * self._radix[d]
+        rest = flat_pos
+        for d in range(self.dim - 1, -1, -1):
+            if d:
+                rest, offset = np.divmod(rest, np.repeat(spans[:, d], per_object))
+            else:
+                offset = rest
+            keys += offset * self._radix[d]
             if masks is not None:
                 masks += (offset == 0).astype(np.int64) << d
         if masks is not None:
@@ -188,9 +201,16 @@ def entry_join_candidates(
         return
     order_b = np.argsort(keys_b, kind="stable")
     keys_b_sorted = keys_b[order_b]
-    starts = np.searchsorted(keys_b_sorted, keys_a, side="left")
-    ends = np.searchsorted(keys_b_sorted, keys_a, side="right")
-    counts = ends - starts
+    # B's sorted keys in runs of one cell each; every A entry finds its
+    # cell's run with one binary search over the distinct keys.
+    run_start = np.flatnonzero(
+        np.concatenate(([True], keys_b_sorted[1:] != keys_b_sorted[:-1]))
+    )
+    distinct = keys_b_sorted[run_start]
+    run_length = np.diff(run_start, append=len(keys_b_sorted))
+    run = np.minimum(np.searchsorted(distinct, keys_a), len(distinct) - 1)
+    starts = run_start[run]
+    counts = np.where(distinct[run] == keys_a, run_length[run], 0)
     if int(counts.sum()) == 0:
         return
     for lo_i, hi_i in chunk_boundaries(counts, chunk):

@@ -252,8 +252,9 @@ def grid_kernel_columnar(
     Builds the same grid geometry as :func:`grid_kernel` (cells sized a
     multiple of the average object side, capped per dimension, over the
     union of both extents), enumerates (object, cell) entries for both
-    sides without a Python loop, joins them by cell key and applies the
-    reference-point rule to the intersecting candidates in one shot.
+    sides without a Python loop — A's only inside the box of cells B
+    occupies — joins them by cell key and applies the reference-point
+    rule to the intersecting candidates in one shot.
     """
     n_a, n_b = len(table_a), len(table_b)
     empty = np.empty(0, dtype=np.int64)
@@ -273,9 +274,17 @@ def grid_kernel_columnar(
     min_size = float((uni_hi - uni_lo).max()) / max_cells_per_dim
     grid = ColumnarGrid(uni_lo, uni_hi, cell_size=max(cell_size, min_size, 1e-12))
 
-    b_obj, b_keys = grid.entries(table_b)
+    b_lo_idx, b_hi_idx = grid.index_ranges(table_b)
+    b_obj, b_keys = grid.range_entries(b_lo_idx, b_hi_idx)
     stats.replicated_entries += len(b_obj) - n_b
-    a_entries = grid.entries(table_a)
+    # No B entry lies outside the box of B's cells, so clipping every A
+    # row's cells to that box drops no candidate, and it keeps the
+    # candidate order: the surviving cells keep their row-major order.
+    a_lo_idx, a_hi_idx = grid.index_ranges(table_a)
+    a_entries = grid.range_entries(
+        np.maximum(a_lo_idx, b_lo_idx.min(axis=0)),
+        np.minimum(a_hi_idx, b_hi_idx.max(axis=0)),
+    )
     idx_a, idx_b = grid_join_pairs(
         grid, table_a, table_b, a_entries, (b_obj, b_keys), stats
     )

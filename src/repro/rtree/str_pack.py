@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence, TypeVar
 
-__all__ = ["str_partition", "slices_of"]
+import numpy as np
+
+__all__ = ["str_partition", "str_tile", "slices_of"]
 
 T = TypeVar("T")
 
@@ -87,3 +89,42 @@ def _tile(
         slab = items[start : start + slab_size]
         groups.extend(_tile(slab, capacity, center_of, axis + 1, dims_left - 1))
     return groups
+
+
+def str_tile(centers, capacity: int):
+    """:func:`str_partition` over an ``(n, D)`` array of centres.
+
+    Returns ``(order, bounds)``: group ``g`` holds the rows
+    ``order[bounds[g]:bounds[g + 1]]``.  Groups, their members and the
+    member order are exactly :func:`str_partition`'s — the same slab
+    arithmetic, and a stable argsort wherever it stably sorts — so a
+    hierarchy packed from arrays equals one packed from objects.
+    """
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    n, dim = centers.shape
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    runs: list = []
+    bounds = [0]
+
+    def tile(rows, axis: int, dims_left: int) -> None:
+        count = len(rows)
+        if count > capacity:
+            rows = rows[np.argsort(centers[rows, axis], kind="stable")]
+            if dims_left > 1:
+                partitions_needed = math.ceil(count / capacity)
+                slab_count = math.ceil(partitions_needed ** (1.0 / dims_left))
+                slab_size = math.ceil(count / slab_count)
+                for start in range(0, count, slab_size):
+                    tile(rows[start : start + slab_size], axis + 1, dims_left - 1)
+                return
+        # A sorted run (or an unsorted one that fits one group), cut
+        # into consecutive groups of ``capacity``.
+        runs.append(rows)
+        offset = bounds[-1]
+        bounds.extend(range(offset + capacity, offset + count, capacity))
+        bounds.append(offset + count)
+
+    tile(np.arange(n, dtype=np.int64), 0, dim)
+    return np.concatenate(runs), np.asarray(bounds, dtype=np.int64)

@@ -149,6 +149,30 @@ class TestCoordinateTable:
         assert CoordinateTable.from_objects([], dim=2).coords.shape == (0, 4)
         assert CoordinateTable.from_mbrs([], dim=2).dim == 2
 
+    @pytest.mark.parametrize(
+        "objects",
+        [
+            [box_object(7, (0.5, -2.0), (1.5, 3.25)), box_object(-3, (1e300, 0.0), (1e301, 1.0))],
+            list(uniform_boxes(40, seed=205)),
+            [box_object(1, (-0.0, 0.0, -0.0), (0.0, -0.0, 0.0))],
+            [],
+        ],
+        ids=["2d", "3d", "signed-zero", "empty"],
+    )
+    def test_from_objects_matches_per_row_reference(self, objects):
+        table = CoordinateTable.from_objects(objects)
+        dim = objects[0].mbr.dim if objects else 3
+        coords = np.empty((len(objects), 2 * dim), dtype=np.float64)
+        ids = np.empty(len(objects), dtype=np.int64)
+        for row, obj in enumerate(objects):
+            coords[row, :dim] = obj.mbr.lo
+            coords[row, dim:] = obj.mbr.hi
+            ids[row] = obj.oid
+        assert table.coords.shape == coords.shape
+        assert table.coords.dtype == coords.dtype and table.ids.dtype == ids.dtype
+        assert table.coords.tobytes() == coords.tobytes()
+        assert table.ids.tobytes() == ids.tobytes()
+
     def test_empty_bounds_raises_named_error(self):
         table = CoordinateTable.from_mbrs([])
         with pytest.raises(ValueError, match=r"bounds\(\) of an empty table"):

@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.datasets.synthetic import uniform_boxes
-from repro.rtree.str_pack import slices_of, str_partition
+from repro.rtree.str_pack import slices_of, str_partition, str_tile
 
 
 def centers(obj):
@@ -94,3 +95,23 @@ class TestStrPartition:
         objs = [SpatialObject(i, MBR((1.0, 1.0), (2.0, 2.0))) for i in range(10)]
         groups = str_partition(objs, 3, centers, dim=2)
         assert sorted(o.oid for g in groups for o in g) == list(range(10))
+
+
+class TestStrTile:
+    @pytest.mark.parametrize("capacity", [1, 4, 7, 500])
+    def test_groups_equal_str_partition(self, capacity):
+        objects = list(uniform_boxes(300, seed=93))
+        expected = [
+            [o.oid for o in group]
+            for group in str_partition(objects, capacity, centers, dim=3)
+        ]
+        order, bounds = str_tile(np.array([centers(o) for o in objects]), capacity)
+        rows = order.tolist()
+        got = [rows[b:e] for b, e in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        assert got == expected  # oids are 0..n-1, i.e. row numbers
+
+    def test_empty_and_bad_capacity(self):
+        order, bounds = str_tile(np.empty((0, 2)), 3)
+        assert len(order) == 0 and bounds.tolist() == [0]
+        with pytest.raises(ValueError, match=">= 1"):
+            str_tile(np.zeros((2, 2)), 0)

@@ -1,13 +1,17 @@
 """TOUCH phase 1: the hierarchical data-oriented partitioning tree."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.core.tree import TouchNode, TouchTree
 from repro.datasets.synthetic import clustered_boxes, uniform_boxes
-from repro.geometry.mbr import MBR
+from repro.geometry.columnar import CoordinateTable
+from repro.geometry.mbr import MBR, total_mbr
 from repro.geometry.objects import box_object
+from repro.rtree.str_pack import str_partition
 
 OBJECTS = list(uniform_boxes(200, seed=81))
 
@@ -114,3 +118,101 @@ class TestAccounting:
     def test_repr(self):
         node = TouchNode(MBR((0, 0), (1, 1)), level=0)
         assert "level=0" in repr(node)
+
+
+def _seeded_corpus(n, dim, seed):
+    """Boxes on a coarse lattice, so many share a centre coordinate, plus
+    exact duplicates of the first few (tied centres in every axis)."""
+    rng = random.Random(seed)
+    objects = []
+    for oid in range(n):
+        lo = [float(rng.randrange(40)) for _ in range(dim)]
+        hi = [c + rng.choice((0.0, 0.5, 1.0, 3.0)) for c in lo]
+        objects.append(box_object(oid, lo, hi))
+    objects += [box_object(n + k, o.mbr.lo, o.mbr.hi) for k, o in enumerate(objects[:9])]
+    return objects
+
+
+def _reference_tree(objects, fanout, leaf_capacity, dim):
+    """The object-model build: STR over ``MBR.center`` and ``total_mbr``."""
+    buckets = str_partition(
+        objects, leaf_capacity, center_of=lambda o: o.mbr.center(), dim=dim
+    )
+    nodes = [
+        TouchNode(total_mbr(o.mbr for o in bucket), level=0, entities_a=bucket)
+        for bucket in buckets
+    ]
+    level = 0
+    while len(nodes) > 1:
+        level += 1
+        groups = str_partition(
+            nodes, fanout, center_of=lambda node: node.mbr.center(), dim=dim
+        )
+        nodes = [
+            TouchNode(total_mbr(n.mbr for n in group), level=level, children=group)
+            for group in groups
+        ]
+    return nodes[0]
+
+
+def _shape(node):
+    """Level, MBR and bucket oids of every node, children in order."""
+    return (
+        node.level,
+        node.mbr,
+        [o.oid for o in node.entities_a],
+        [_shape(child) for child in node.children],
+    )
+
+
+class TestArrayBuildIdentity:
+    """The array build is the object-model build, node for node."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("fanout", [2, 3, 16])
+    @pytest.mark.parametrize(
+        "num_partitions, leaf_capacity", [(16, None), (None, None), (1024, 1)]
+    )
+    def test_equals_reference(self, dim, fanout, num_partitions, leaf_capacity):
+        objects = _seeded_corpus(150, dim, seed=dim * 100 + fanout)
+        tree = TouchTree(
+            objects,
+            fanout=fanout,
+            num_partitions=num_partitions,
+            leaf_capacity=leaf_capacity,
+        )
+        reference = _reference_tree(objects, fanout, tree.leaf_capacity, dim)
+        assert _shape(tree.root) == _shape(reference)
+
+    def test_all_centres_tied(self):
+        objects = [box_object(oid, (1.0, 2.0), (3.0, 4.0)) for oid in range(40)]
+        tree = TouchTree(objects, fanout=3, leaf_capacity=4)
+        assert _shape(tree.root) == _shape(_reference_tree(objects, 3, 4, 2))
+
+    def test_bounds_reuse_member_floats(self):
+        # Node bounds are the members' own coordinates, bit for bit
+        # (signed zeros included), exactly as total_mbr picks them.
+        objects = [
+            box_object(0, (-0.0, 1.0), (2.0, 3.0)),
+            box_object(1, (0.0, 1.0), (2.0, 3.0)),
+        ]
+        tree = TouchTree(objects, leaf_capacity=2)
+        assert tree.root.mbr.lo[0] is objects[0].mbr.lo[0]
+
+    @pytest.mark.parametrize("fanout", [2, 5])
+    def test_leaf_rows_lay_out_leaves_contiguously(self, fanout):
+        objects = _seeded_corpus(120, 3, seed=7)
+        table = CoordinateTable.from_objects(objects)
+        tree, leaf_rows = TouchTree.build(
+            objects, table, fanout=fanout, num_partitions=20
+        )
+        leaf_oids = [o.oid for leaf in tree.leaves() for o in leaf.entities_a]
+        assert table.take(leaf_rows).ids.tolist() == leaf_oids
+        assert sorted(leaf_rows.tolist()) == list(range(len(objects)))
+
+    def test_tree_keeps_no_arrays(self):
+        tree, _ = TouchTree.build(OBJECTS, num_partitions=32)
+        held = list(vars(tree).values())
+        for node in tree.iter_nodes():
+            held += [getattr(node, slot) for slot in TouchNode.__slots__]
+        assert not any(isinstance(v, (np.ndarray, CoordinateTable)) for v in held)
