@@ -46,7 +46,6 @@ __all__ = [
     "intersect_pairs",
     "sweep_pairs",
     "overlap_mask",
-    "axes_overlap_mask",
     "boxes_overlap_matrix",
     "concat_ranges",
     "chunk_boundaries",
@@ -226,16 +225,34 @@ class CoordinateTable:
         row = self.coords[index]
         return MBR(tuple(row[:dim]), tuple(row[dim:]))
 
+    def check_boxes(self) -> None:
+        """Check ``hi >= lo`` for all rows in one comparison.
+
+        The first bad row raises the :class:`MBR` constructor's own
+        ``ValueError``, which names the dimension.
+        """
+        bad = np.flatnonzero((self.hi < self.lo).any(axis=1))
+        if len(bad):
+            self.mbr(int(bad[0]))
+
     def to_objects(self) -> "list[SpatialObject]":
-        """Materialise the table as a list of spatial objects."""
+        """Materialise the table as a list of spatial objects.
+
+        The rows are checked once (:meth:`check_boxes`), so each
+        :class:`MBR` is built without the constructor's per-coordinate
+        loop.
+        """
         from repro.geometry.objects import SpatialObject
 
-        dim = self.dim
-        rows = self.coords.tolist()
-        ids = self.ids.tolist()
+        self.check_boxes()
+        box = MBR.unchecked
         return [
-            SpatialObject(oid, MBR(tuple(row[:dim]), tuple(row[dim:])))
-            for oid, row in zip(ids, rows)
+            SpatialObject(oid, box(lo, hi))
+            for oid, lo, hi in zip(
+                self.ids.tolist(),
+                map(tuple, self.lo.tolist()),
+                map(tuple, self.hi.tolist()),
+            )
         ]
 
     def take(self, indices) -> "CoordinateTable":
@@ -486,24 +503,6 @@ def overlap_mask(table: CoordinateTable, lo, hi):
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     return (table.lo <= hi).all(axis=1) & (table.hi >= lo).all(axis=1)
-
-
-def axes_overlap_mask(table: CoordinateTable, axes, lows, highs):
-    """``(N,)`` mask of rows whose interval on each listed axis overlaps.
-
-    The partial-dimensional variant of :func:`overlap_mask`: only the
-    ``axes`` are constrained (closed intervals, same float64 semantics as
-    :meth:`MBR.intersects`), the rest stay free.  This is the membership
-    test of the slab/tile decomposition — a region bounds one or two
-    axes, never all — vectorised so the parallel engine can slice
-    per-region coordinate blocks without a per-object Python loop.
-    """
-    dim = table.dim
-    mask = np.ones(len(table), dtype=bool)
-    for axis, lo, hi in zip(axes, lows, highs):
-        mask &= table.coords[:, axis + dim] >= lo  # row hi >= interval lo
-        mask &= table.coords[:, axis] <= hi  # row lo <= interval hi
-    return mask
 
 
 def boxes_overlap_matrix(lo_rows, hi_rows, boxes_lo, boxes_hi):

@@ -53,6 +53,19 @@ class MBR:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @classmethod
+    def unchecked(cls, lo: tuple[float, ...], hi: tuple[float, ...]) -> "MBR":
+        """Wrap corner tuples of Python floats without validating them.
+
+        For bulk conversions that already checked ``hi >= lo`` for all
+        rows at once (:meth:`CoordinateTable.to_objects`); everything
+        else goes through the constructor.
+        """
+        box = object.__new__(cls)
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
+        return box
+
     # -- immutability -------------------------------------------------
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MBR is immutable")

@@ -32,6 +32,7 @@ __all__ = [
     "grid_join_pairs",
     "sort_entries",
     "probe_join_candidates",
+    "populated_cells",
     "grid_probe_pairs",
 ]
 
@@ -233,6 +234,21 @@ def sort_entries(keys):
     """
     order = np.argsort(keys, kind="stable")
     return order, keys[order]
+
+
+def populated_cells(build_sorted_keys, build_populated: int, probe_keys) -> int:
+    """Distinct keys of a presorted build side and a probe batch together.
+
+    Equals ``len(np.union1d(build_keys, probe_keys))``, but only the
+    probe's distinct keys are sorted: ``build_populated`` is the build
+    side's distinct-key count, taken once at prepare time, and each
+    probe key is looked up in the build keys by binary search.
+    """
+    fresh = np.unique(probe_keys)
+    at = np.searchsorted(build_sorted_keys, fresh)
+    found = at < len(build_sorted_keys)
+    found[found] = build_sorted_keys[at[found]] == fresh[found]
+    return build_populated + int(len(fresh) - found.sum())
 
 
 def probe_join_candidates(

@@ -11,12 +11,16 @@ bookkeeping, ``freeMem`` accounting, unspill-on-close):
 
 1. **Partition & price.**  The universe is decomposed exactly as the
    chunked/parallel engines do (:mod:`repro.parallel.decompose`), so the
-   boundary-ownership rule guarantees a duplicate-free merge.  Each
-   partition is priced with the base algorithm's ``estimate_bytes``.
+   boundary-ownership rule guarantees a duplicate-free merge.  Universe
+   and members come from the partitioned-axis columns of both sides
+   (:class:`~repro.parallel.decompose.AxisColumns`, ``k <= 2`` axes); no
+   whole-side coordinate table is built.  Each partition is priced with
+   the base algorithm's ``estimate_bytes``.
 2. **Admit or spill.**  Partitions charge the
    :class:`~repro.memory.budget.MemoryBudget` first-fit; whatever does
-   not fit is written to a :class:`~repro.memory.spill.SpillStore` and
-   its member lists are dropped.
+   not fit is packed from its own rows into coordinate tables, written
+   to a :class:`~repro.memory.spill.SpillStore`, and its member lists
+   are dropped.  The whole-side columns are dropped after this phase.
 3. **Resident pass.**  Resident partitions join first, releasing their
    charge as each local join closes.
 4. **Unspill-on-close.**  With the build side shrunk, spilled
@@ -41,15 +45,15 @@ the owning service's ``stats()``.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from repro.geometry.mbr import total_mbr
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair, SpatialJoinAlgorithm, dimensionality
 from repro.joins.registry import AlgorithmSpec
 from repro.memory.budget import MemoryBudget, SpillMetrics, validate_max_bytes
 from repro.memory.spill import SpilledPartition, SpillStore
-from repro.parallel.decompose import Decomposition
+from repro.parallel.decompose import AxisColumns, Decomposition
 from repro.stats.counters import JoinStatistics
 
 __all__ = ["BudgetedSpatialJoin"]
@@ -184,12 +188,12 @@ class BudgetedSpatialJoin(SpatialJoinAlgorithm):
             self.max_partitions,
             max(2, -(-2 * estimated // self.max_bytes)),
         )
-        universe = total_mbr(o.mbr for o in objects_a).union(
-            total_mbr(o.mbr for o in objects_b)
-        )
-        decomposition = Decomposition.build(
-            universe, kind=self.kind, n_chunks=n_parts, axis=self.axis
-        )
+        # Only the partitioned axes are read: they give the universe,
+        # every region's members and (per partition) pair ownership.
+        axes = Decomposition.partition_axes(self.kind, dim, self.axis)
+        columns_a = AxisColumns.from_objects(objects_a, axes)
+        columns_b = AxisColumns.from_objects(objects_b, axes)
+        decomposition = Decomposition.spanning(n_parts, columns_a, columns_b)
         stats.extra["spill_partitions_total"] = len(decomposition.regions)
 
         budget = MemoryBudget(self.max_bytes)
@@ -197,32 +201,42 @@ class BudgetedSpatialJoin(SpatialJoinAlgorithm):
         self.last_spill_dir = store.directory
         pairs: list[Pair] = []
         try:
-            # Phase 1: admit first-fit, spill the rest.
-            resident: list[tuple[int, list, list, int]] = []
+            # Phase 1: admit first-fit, spill the rest.  A resident
+            # partition keeps its members and their columns; a spilled
+            # one is packed from its own rows.
+            resident: list[tuple[int, _Partition, int]] = []
             spilled: list[tuple[int, SpilledPartition]] = []
-            for index, region in enumerate(decomposition.regions):
-                chunk_a = decomposition.members(region, objects_a)
-                chunk_b = decomposition.members(region, objects_b)
-                if not chunk_a or not chunk_b:
+            for region in decomposition.regions:
+                rows_a = decomposition.member_rows(region, columns_a)
+                rows_b = decomposition.member_rows(region, columns_b)
+                if not len(rows_a) or not len(rows_b):
                     continue
+                chunk_a = [objects_a[row] for row in rows_a.tolist()]
+                chunk_b = [objects_b[row] for row in rows_b.tolist()]
                 cost = pricer.estimate_bytes(len(chunk_a), len(chunk_b), dim)
                 if budget.fits(cost):
                     budget.charge(cost)
-                    resident.append((index, chunk_a, chunk_b, cost))
+                    partition = _Partition(
+                        chunk_a, chunk_b, columns_a.take(rows_a), columns_b.take(rows_b)
+                    )
+                    resident.append((region.index, partition, cost))
                 else:
-                    part = store.write(index, chunk_a, chunk_b)
-                    spilled.append((index, part))
-                    del chunk_a, chunk_b
+                    part = store.write(
+                        region.index,
+                        CoordinateTable.from_objects(chunk_a),
+                        CoordinateTable.from_objects(chunk_b),
+                    )
+                    spilled.append((region.index, part))
+                del chunk_a, chunk_b
+            del columns_a, columns_b
             counters["resident_partitions"] += len(resident)
             counters["spilled_partitions"] += len(spilled)
             counters["spill_bytes_written"] += store.bytes_written
 
             # Phase 2: join resident partitions, releasing as each closes.
-            for index, chunk_a, chunk_b, cost in resident:
+            for index, partition, cost in resident:
                 pairs.extend(
-                    self._join_partition(
-                        decomposition, index, chunk_a, chunk_b, stats, counters
-                    )
+                    self._join_partition(decomposition, index, partition, stats)
                 )
                 budget.release(cost)
             resident.clear()
@@ -245,23 +259,21 @@ class BudgetedSpatialJoin(SpatialJoinAlgorithm):
                     # Head of the queue exceeds the whole (empty) budget:
                     # skewed partition — recursively repartition it.
                     index, part = deferred.pop(0)
-                    chunk_a, chunk_b = store.read(part)
+                    partition = _unspill(store, part, axes)
                     counters["spill_bytes_read"] += part.file_bytes
                     pairs.extend(
                         self._join_skewed(
-                            decomposition, index, chunk_a, chunk_b, stats, counters
+                            decomposition, index, partition, stats, counters
                         )
                     )
                     queue = deferred
                     continue
                 for index, part, cost in admitted:
-                    chunk_a, chunk_b = store.read(part)
+                    partition = _unspill(store, part, axes)
                     counters["spill_bytes_read"] += part.file_bytes
                     counters["unspills"] += 1
                     pairs.extend(
-                        self._join_partition(
-                            decomposition, index, chunk_a, chunk_b, stats, counters
-                        )
+                        self._join_partition(decomposition, index, partition, stats)
                     )
                     budget.release(cost)
                 queue = deferred
@@ -274,26 +286,14 @@ class BudgetedSpatialJoin(SpatialJoinAlgorithm):
         self,
         decomposition: Decomposition,
         index: int,
-        chunk_a: list[SpatialObject],
-        chunk_b: list[SpatialObject],
+        partition: _Partition,
         stats: JoinStatistics,
-        counters: dict[str, int],
-        algorithm: SpatialJoinAlgorithm | None = None,
     ) -> list[Pair]:
         """Join one partition and keep only the pairs this region owns."""
         start = time.perf_counter()
-        result = (algorithm or self.base_factory()).join(chunk_a, chunk_b)
+        result = self.base_factory().join(partition.objects_a, partition.objects_b)
         stats.merge(result.stats)
-        region = decomposition.regions[index]
-        mbr_a = {o.oid: o.mbr for o in chunk_a}
-        mbr_b = {o.oid: o.mbr for o in chunk_b}
-        stats.dedup_checks += len(result.pairs)
-        owned = [
-            (oid_a, oid_b)
-            for oid_a, oid_b in result.pairs
-            if decomposition.owns(region, mbr_a[oid_a], mbr_b[oid_b])
-        ]
-        stats.duplicates_suppressed += len(result.pairs) - len(owned)
+        owned = _keep_owned(decomposition, index, result.pairs, partition, stats)
         stats.extra["partition_join_seconds"] = stats.extra.get(
             "partition_join_seconds", 0.0
         ) + (time.perf_counter() - start)
@@ -303,17 +303,14 @@ class BudgetedSpatialJoin(SpatialJoinAlgorithm):
         self,
         decomposition: Decomposition,
         index: int,
-        chunk_a: list[SpatialObject],
-        chunk_b: list[SpatialObject],
+        partition: _Partition,
         stats: JoinStatistics,
         counters: dict[str, int],
     ) -> list[Pair]:
         """A partition bigger than the whole budget: recurse or overrun."""
         if self._depth >= self.max_depth:
             counters["budget_overruns"] += 1
-            return self._join_partition(
-                decomposition, index, chunk_a, chunk_b, stats, counters
-            )
+            return self._join_partition(decomposition, index, partition, stats)
         counters["recursive_repartitions"] += 1
         nested = BudgetedSpatialJoin(
             self.base,
@@ -326,23 +323,49 @@ class BudgetedSpatialJoin(SpatialJoinAlgorithm):
             max_depth=self.max_depth,
             _depth=self._depth + 1,
         )
-        result = nested.join(chunk_a, chunk_b)
+        result = nested.join(partition.objects_a, partition.objects_b)
         stats.merge(result.stats)
         for key in counters:
             counters[key] += int(result.stats.extra.get(key, 0))
         # The nested join is complete and duplicate-free for the members;
         # the parent region's ownership filter dedups the straddlers.
-        region = decomposition.regions[index]
-        mbr_a = {o.oid: o.mbr for o in chunk_a}
-        mbr_b = {o.oid: o.mbr for o in chunk_b}
-        stats.dedup_checks += len(result.pairs)
-        owned = [
-            (oid_a, oid_b)
-            for oid_a, oid_b in result.pairs
-            if decomposition.owns(region, mbr_a[oid_a], mbr_b[oid_b])
-        ]
-        stats.duplicates_suppressed += len(result.pairs) - len(owned)
-        return owned
+        return _keep_owned(decomposition, index, result.pairs, partition, stats)
     # NOTE: phase-3 recursion happens with the parent budget drained, so
     # the nested join sees the full budget — skew degrades to more,
     # smaller spills rather than an unbounded resident set.
+
+
+class _Partition(NamedTuple):
+    """One partition in memory: both sides' members and their columns."""
+
+    objects_a: list[SpatialObject]
+    objects_b: list[SpatialObject]
+    columns_a: AxisColumns
+    columns_b: AxisColumns
+
+
+def _unspill(store: SpillStore, part: SpilledPartition, axes) -> _Partition:
+    """Read a spilled partition back as objects plus ownership columns."""
+    table_a, table_b = store.read(part)
+    return _Partition(
+        table_a.to_objects(),
+        table_b.to_objects(),
+        AxisColumns.from_table(table_a, axes),
+        AxisColumns.from_table(table_b, axes),
+    )
+
+
+def _keep_owned(
+    decomposition: Decomposition,
+    index: int,
+    pairs: list[Pair],
+    partition: _Partition,
+    stats: JoinStatistics,
+) -> list[Pair]:
+    """The reference-point filter, with its dedup counters."""
+    stats.dedup_checks += len(pairs)
+    owned = decomposition.owned_pairs(
+        decomposition.regions[index], pairs, partition.columns_a, partition.columns_b
+    )
+    stats.duplicates_suppressed += len(pairs) - len(owned)
+    return owned

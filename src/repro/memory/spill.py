@@ -1,17 +1,20 @@
 """Disk spill store for over-budget join partitions.
 
 When the memory governor (:mod:`repro.memory.budgeted`) decides a
-partition does not fit the budget, its row-slices — the coordinates and
-ids of both datasets' members — are written to a private temporary
-directory as ``.npy`` files (one file per partition, two arrays per
-side) and the in-memory member lists are dropped.  Reading a partition
-back **consumes** it: the file is deleted as soon as the rows are
-rematerialised, so a store holds each spilled partition at most once
-and the directory empties as the join drains its spill queue.
+partition does not fit the budget, the
+:class:`~repro.geometry.columnar.CoordinateTable` row slices of both
+datasets' members are written to a private temporary directory as one
+``.npy`` file per partition — per side, the float64 ``(n, 2 * D)``
+coordinates followed by the int64 ids — and the in-memory member lists
+are dropped.  Reading a partition back **consumes** it: the file is
+deleted as soon as the two tables are rematerialised, so a store holds
+each spilled partition at most once and the directory empties as the
+join drains its spill queue.
 
 Failure handling follows the PR 7 shared-memory hygiene rules: any I/O
 problem while reading a partition back — the file deleted underneath
-us, truncation, corruption, a foreign (e.g. pickled) payload — surfaces
+us, truncation, corruption (a row with ``hi < lo`` included), a foreign
+(e.g. pickled) payload — surfaces
 as :class:`SpillError` naming the partition and path (never a bare
 ``FileNotFoundError`` or ``ValueError``), and
 :meth:`SpillStore.close` removes the directory unconditionally, so both
@@ -26,8 +29,7 @@ import tempfile
 
 import numpy as np
 
-from repro.geometry.mbr import MBR
-from repro.geometry.objects import SpatialObject
+from repro.geometry.columnar import CoordinateTable
 
 __all__ = ["SpillError", "SpilledPartition", "SpillStore"]
 
@@ -53,26 +55,6 @@ class SpilledPartition:
             f"SpilledPartition(pid={self.pid}, n_a={self.n_a}, "
             f"n_b={self.n_b}, file_bytes={self.file_bytes})"
         )
-
-
-def _pack(objects: list[SpatialObject]):
-    """Rows of one dataset side as (coords, ids) arrays."""
-    dim = objects[0].mbr.dim if objects else 0
-    coords = np.empty((len(objects), 2 * dim), dtype=np.float64)
-    ids = np.empty(len(objects), dtype=np.int64)
-    for row, obj in enumerate(objects):
-        coords[row, :dim] = obj.mbr.lo
-        coords[row, dim:] = obj.mbr.hi
-        ids[row] = obj.oid
-    return coords, ids
-
-
-def _unpack(coords, ids) -> list[SpatialObject]:
-    dim = coords.shape[1] // 2
-    return [
-        SpatialObject(int(oid), MBR(tuple(row[:dim]), tuple(row[dim:])))
-        for oid, row in zip(ids.tolist(), coords.tolist())
-    ]
 
 
 class SpillStore:
@@ -112,51 +94,49 @@ class SpillStore:
 
     # -- spill / unspill -----------------------------------------------
     def write(
-        self,
-        pid: int,
-        objects_a: list[SpatialObject],
-        objects_b: list[SpatialObject],
+        self, pid: int, table_a: CoordinateTable, table_b: CoordinateTable
     ) -> SpilledPartition:
-        """Spill one partition's rows; the caller drops its references."""
+        """Spill one partition's row tables; the caller drops its references."""
         if self._closed:
             raise SpillError("spill store is closed")
         path = os.path.join(self.directory, f"part{pid:05d}.npy")
         try:
             with open(path, "wb") as fh:
-                for side in (objects_a, objects_b):
-                    coords, ids = _pack(side)
-                    np.save(fh, coords, allow_pickle=False)
-                    np.save(fh, ids, allow_pickle=False)
+                for table in (table_a, table_b):
+                    np.save(fh, table.coords, allow_pickle=False)
+                    np.save(fh, table.ids, allow_pickle=False)
             file_bytes = os.path.getsize(path)
         except OSError as exc:
             raise SpillError(f"failed to spill partition {pid} to {path}: {exc}") from exc
         self.bytes_written += file_bytes
         self.partitions_written += 1
         self._live += 1
-        return SpilledPartition(pid, path, len(objects_a), len(objects_b), file_bytes)
+        return SpilledPartition(pid, path, len(table_a), len(table_b), file_bytes)
 
     def read(
         self, partition: SpilledPartition
-    ) -> tuple[list[SpatialObject], list[SpatialObject]]:
-        """Unspill one partition — and delete its file (read-once)."""
+    ) -> tuple[CoordinateTable, CoordinateTable]:
+        """Unspill one partition's row tables — and delete its file (read-once)."""
         try:
             with open(partition.path, "rb") as fh:
-                sides = []
+                tables = []
                 for _ in range(2):
                     coords = np.load(fh, allow_pickle=False)
                     ids = np.load(fh, allow_pickle=False)
-                    sides.append(_unpack(coords, ids))
-            objects_a, objects_b = sides
+                    table = CoordinateTable(coords, ids)
+                    table.check_boxes()
+                    tables.append(table)
+            table_a, table_b = tables
         except (OSError, ValueError, EOFError) as exc:
             raise SpillError(
                 f"failed to read spilled partition {partition.pid} back from "
                 f"{partition.path}: {exc}"
             ) from exc
-        if len(objects_a) != partition.n_a or len(objects_b) != partition.n_b:
+        if len(table_a) != partition.n_a or len(table_b) != partition.n_b:
             raise SpillError(
                 f"spilled partition {partition.pid} at {partition.path} is "
                 f"truncated: expected {partition.n_a}x{partition.n_b} rows, "
-                f"got {len(objects_a)}x{len(objects_b)}"
+                f"got {len(table_a)}x{len(table_b)}"
             )
         self.bytes_read += partition.file_bytes
         self._live -= 1
@@ -164,4 +144,4 @@ class SpillStore:
             os.unlink(partition.path)
         except OSError:
             pass
-        return objects_a, objects_b
+        return table_a, table_b

@@ -19,11 +19,10 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.geometry.mbr import total_mbr
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair, SpatialJoinAlgorithm
 from repro.joins.registry import AlgorithmSpec
-from repro.parallel.decompose import Decomposition, slab_bounds
+from repro.parallel.decompose import AxisColumns, Decomposition, slab_bounds
 from repro.stats.counters import JoinStatistics
 
 __all__ = ["ChunkedSpatialJoin", "slab_bounds"]
@@ -83,15 +82,13 @@ class ChunkedSpatialJoin(SpatialJoinAlgorithm):
         if not objects_a or not objects_b:
             return []
         start = time.perf_counter()
-        universe = total_mbr(o.mbr for o in objects_a).union(
-            total_mbr(o.mbr for o in objects_b)
-        )
-        decomposition = Decomposition.build(
-            universe, kind=self.kind, n_chunks=self.n_chunks, axis=self.axis
-        )
+        axes = Decomposition.partition_axes(self.kind, objects_a[0].mbr.dim, self.axis)
+        columns_a = AxisColumns.from_objects(objects_a, axes)
+        columns_b = AxisColumns.from_objects(objects_b, axes)
+        decomposition = Decomposition.spanning(self.n_chunks, columns_a, columns_b)
         chunks = [
-            (region, decomposition.members(region, objects_a),
-             decomposition.members(region, objects_b))
+            (region, decomposition.member_rows(region, columns_a),
+             decomposition.member_rows(region, columns_b))
             for region in decomposition.regions
         ]
         decompose_seconds = time.perf_counter() - start
@@ -99,21 +96,22 @@ class ChunkedSpatialJoin(SpatialJoinAlgorithm):
         pairs: list[Pair] = []
         duplicates = 0
         worker_seconds = 0.0
-        for region, chunk_a, chunk_b in chunks:
-            if not chunk_a or not chunk_b:
+        for region, rows_a, rows_b in chunks:
+            if not len(rows_a) or not len(rows_b):
                 continue
             start = time.perf_counter()
-            result = self.base_factory().join(chunk_a, chunk_b)
+            result = self.base_factory().join(
+                [objects_a[row] for row in rows_a.tolist()],
+                [objects_b[row] for row in rows_b.tolist()],
+            )
             stats.merge(result.stats)
 
-            mbr_a = {o.oid: o.mbr for o in chunk_a}
-            mbr_b = {o.oid: o.mbr for o in chunk_b}
             stats.dedup_checks += len(result.pairs)
-            for oid_a, oid_b in result.pairs:
-                if decomposition.owns(region, mbr_a[oid_a], mbr_b[oid_b]):
-                    pairs.append((oid_a, oid_b))
-                else:
-                    duplicates += 1
+            owned = decomposition.owned_pairs(
+                region, result.pairs, columns_a.take(rows_a), columns_b.take(rows_b)
+            )
+            pairs.extend(owned)
+            duplicates += len(result.pairs) - len(owned)
             worker_seconds += time.perf_counter() - start
         stats.duplicates_suppressed += duplicates
         stats.result_pairs = len(pairs)

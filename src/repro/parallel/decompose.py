@@ -30,6 +30,13 @@ has exactly one owner even when floating-point rounding makes adjacent
 interval bounds disagree — the historical per-slab test lost pairs whose
 reference point landed exactly on an interior edge a slab believed it
 did not own.
+
+The engines apply both rules to whole columns at once: membership and
+ownership read :class:`AxisColumns` — per-object ids plus the lo/hi
+bounds of the partitioned axes only — through
+:meth:`Decomposition.member_rows` and :meth:`Decomposition.owned_pairs`.
+The scalar :meth:`Region.touches` and :meth:`Decomposition.owner_index`
+stay as the oracles those array rules are tested against.
 """
 
 from __future__ import annotations
@@ -38,13 +45,19 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
+
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR
+from repro.geometry.objects import SpatialObject
 
 __all__ = [
     "slab_bounds",
     "tile_grid",
     "adaptive_chunk_count",
+    "AxisColumns",
     "Region",
     "Decomposition",
     "DECOMPOSE_KINDS",
@@ -122,6 +135,78 @@ def adaptive_chunk_count(
     return min(max_chunks, max(1, workers, by_size))
 
 
+class AxisColumns:
+    """One dataset's columns on a decomposition's partitioned axes.
+
+    ``ids`` is the ``(n,)`` int64 oid vector; ``lo``/``hi`` are ``(n, k)``
+    float64 arrays whose column ``c`` holds the box bounds along
+    ``axes[c]``.  Only the ``k <= 2`` partitioned axes are kept — the
+    rest of each box plays no part in membership or ownership.
+    """
+
+    __slots__ = ("axes", "ids", "lo", "hi")
+
+    def __init__(self, axes: tuple[int, ...], ids, lo, hi) -> None:
+        self.axes = axes
+        self.ids = ids
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def from_objects(
+        cls, objects: Sequence[SpatialObject], axes: tuple[int, ...]
+    ) -> "AxisColumns":
+        """Stream the columns out of spatial objects, one axis at a time."""
+        n = len(objects)
+        lo = np.empty((n, len(axes)), dtype=np.float64)
+        hi = np.empty((n, len(axes)), dtype=np.float64)
+        for column, axis in enumerate(axes):
+            lo[:, column] = np.fromiter(
+                (obj.mbr.lo[axis] for obj in objects), dtype=np.float64, count=n
+            )
+            hi[:, column] = np.fromiter(
+                (obj.mbr.hi[axis] for obj in objects), dtype=np.float64, count=n
+            )
+        ids = np.fromiter((obj.oid for obj in objects), dtype=np.int64, count=n)
+        return cls(axes, ids, lo, hi)
+
+    @classmethod
+    def from_table(
+        cls, table: CoordinateTable, axes: tuple[int, ...]
+    ) -> "AxisColumns":
+        """Select the partitioned axes of a coordinate table."""
+        dim = table.dim
+        return cls(
+            axes,
+            table.ids,
+            table.coords[:, list(axes)],
+            table.coords[:, [axis + dim for axis in axes]],
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> "AxisColumns":
+        """The columns of the given rows, in that order."""
+        return AxisColumns(self.axes, self.ids[rows], self.lo[rows], self.hi[rows])
+
+    def rows_of(self, oids):
+        """Row of each oid; a repeated oid resolves to its last row.
+
+        Last-occurrence-wins is what an ``{oid: row}`` dict built in row
+        order gives.  An oid absent from the columns raises ``KeyError``.
+        """
+        order = np.argsort(self.ids, kind="stable")
+        ranked = self.ids[order]
+        positions = np.searchsorted(ranked, oids, side="right") - 1
+        if len(oids) and (
+            positions.min() < 0 or not np.array_equal(ranked[positions], oids)
+        ):
+            missing = np.setdiff1d(oids, self.ids)
+            raise KeyError(f"oids not among the columns' rows: {missing[:5].tolist()}")
+        return order[positions]
+
+
 @dataclass(frozen=True)
 class Region:
     """One contiguous piece of the decomposed universe.
@@ -146,6 +231,10 @@ class Region:
         )
 
 
+def _spans(universe: MBR, axes: tuple[int, ...]) -> list[tuple[float, float]]:
+    return [(universe.lo[axis], universe.hi[axis]) for axis in axes]
+
+
 class Decomposition:
     """A slab or tile cutting of a universe, with the ownership rule.
 
@@ -154,7 +243,7 @@ class Decomposition:
     processes so parent and workers agree bit-for-bit on region edges.
     """
 
-    __slots__ = ("kind", "axes", "shape", "bounds", "edges", "regions")
+    __slots__ = ("kind", "axes", "shape", "bounds", "edges", "regions", "_rulers")
 
     def __init__(
         self,
@@ -177,6 +266,7 @@ class Decomposition:
         self.edges = tuple(
             tuple(lo for lo, _ in per_axis) for per_axis in bounds
         )
+        self._rulers = [np.asarray(edges, dtype=np.float64) for edges in self.edges]
         self.regions = self._build_regions()
 
     def _build_regions(self) -> list[Region]:
@@ -207,17 +297,50 @@ class Decomposition:
         return regions
 
     # -- construction --------------------------------------------------
+    @staticmethod
+    def partition_axes(kind: str, dim: int, axis: int = 0) -> tuple[int, ...]:
+        """The axes a ``kind`` cut partitions in ``dim``-dimensional data.
+
+        ``(axis,)`` for slabs; ``(axis, (axis + 1) % dim)`` for tiles,
+        which fall back to slabs in 1-D.
+        """
+        if kind not in DECOMPOSE_KINDS:
+            raise ValueError(
+                f"unknown decomposition kind {kind!r}; expected one of "
+                f"{', '.join(DECOMPOSE_KINDS)}"
+            )
+        if axis < 0:
+            raise ValueError(f"axis must be >= 0, got {axis}")
+        if axis >= dim:
+            raise ValueError(f"axis {axis} out of range for {dim}-dimensional data")
+        if kind == "tiles" and dim >= 2:
+            return (axis, (axis + 1) % dim)
+        return (axis,)
+
+    @classmethod
+    def _cut(
+        cls,
+        axes: tuple[int, ...],
+        spans: Sequence[tuple[float, float]],
+        n_chunks: int,
+    ) -> "Decomposition":
+        """Slabs over one ``(lo, hi)`` span, near-square tiles over two."""
+        if len(axes) == 1:
+            ((lo, hi),) = spans
+            return cls("slabs", axes, (tuple(slab_bounds(lo, hi, n_chunks)),))
+        (x_lo, x_hi), (y_lo, y_hi) = spans
+        nx, ny = tile_grid(n_chunks, x_hi - x_lo, y_hi - y_lo)
+        return cls(
+            "tiles",
+            axes,
+            (tuple(slab_bounds(x_lo, x_hi, nx)), tuple(slab_bounds(y_lo, y_hi, ny))),
+        )
+
     @classmethod
     def slabs(cls, universe: MBR, n_chunks: int, axis: int = 0) -> "Decomposition":
         """Contiguous slabs along one axis (the paper's §3 layout)."""
-        if axis < 0:
-            raise ValueError(f"axis must be >= 0, got {axis}")
-        if axis >= universe.dim:
-            raise ValueError(
-                f"axis {axis} out of range for {universe.dim}-dimensional data"
-            )
-        per_axis = tuple(slab_bounds(universe.lo[axis], universe.hi[axis], n_chunks))
-        return cls("slabs", (axis,), (per_axis,))
+        axes = cls.partition_axes("slabs", universe.dim, axis)
+        return cls._cut(axes, _spans(universe, axes), n_chunks)
 
     @classmethod
     def tiles(
@@ -227,26 +350,9 @@ class Decomposition:
         ax, ay = axes
         if ax == ay:
             raise ValueError(f"tile axes must differ, got {axes}")
-        for axis in axes:
-            if axis < 0:
-                raise ValueError(f"axis must be >= 0, got {axis}")
-            if axis >= universe.dim:
-                raise ValueError(
-                    f"axis {axis} out of range for {universe.dim}-dimensional data"
-                )
-        nx, ny = tile_grid(
-            n_chunks,
-            universe.hi[ax] - universe.lo[ax],
-            universe.hi[ay] - universe.lo[ay],
-        )
-        return cls(
-            "tiles",
-            (ax, ay),
-            (
-                tuple(slab_bounds(universe.lo[ax], universe.hi[ax], nx)),
-                tuple(slab_bounds(universe.lo[ay], universe.hi[ay], ny)),
-            ),
-        )
+        for axis in axes:  # range-checks each axis
+            cls.partition_axes("slabs", universe.dim, axis)
+        return cls._cut((ax, ay), _spans(universe, (ax, ay)), n_chunks)
 
     @classmethod
     def build(
@@ -257,22 +363,24 @@ class Decomposition:
         axis: int = 0,
     ) -> "Decomposition":
         """Dispatch on ``kind``; tiles fall back to slabs in 1-D."""
-        if kind not in DECOMPOSE_KINDS:
-            raise ValueError(
-                f"unknown decomposition kind {kind!r}; expected one of "
-                f"{', '.join(DECOMPOSE_KINDS)}"
-            )
+        axes = cls.partition_axes(kind, universe.dim, axis)
         if n_chunks < 1:
             raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-        if axis < 0:
-            raise ValueError(f"axis must be >= 0, got {axis}")
-        if axis >= universe.dim:
-            raise ValueError(
-                f"axis {axis} out of range for {universe.dim}-dimensional data"
-            )
-        if kind == "tiles" and universe.dim >= 2:
-            return cls.tiles(universe, n_chunks, axes=(axis, (axis + 1) % universe.dim))
-        return cls.slabs(universe, n_chunks, axis=axis)
+        return cls._cut(axes, _spans(universe, axes), n_chunks)
+
+    @classmethod
+    def spanning(cls, n_chunks: int, *sides: AxisColumns) -> "Decomposition":
+        """Cut the universe the sides' columns span (every side non-empty).
+
+        The same cut :meth:`build` makes over the sides' ``total_mbr``:
+        the spans are the column minima and maxima, so only the
+        partitioned axes are ever read.
+        """
+        if n_chunks < 1:
+            raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
+        lows = np.min([side.lo.min(axis=0) for side in sides], axis=0)
+        highs = np.max([side.hi.max(axis=0) for side in sides], axis=0)
+        return cls._cut(sides[0].axes, list(zip(lows.tolist(), highs.tolist())), n_chunks)
 
     # -- pickling (``__slots__`` without a dict) -----------------------
     def __reduce__(self):
@@ -381,7 +489,71 @@ class Decomposition:
                 mask |= 1 << coordinate
         return mask
 
-    # -- membership ----------------------------------------------------
-    def members(self, region: Region, objects):
-        """Objects whose MBR touches the region (closed intervals)."""
-        return [obj for obj in objects if region.touches(obj.mbr)]
+    # -- the array rules ---------------------------------------------
+    def _check_axes(self, columns: AxisColumns) -> None:
+        if columns.axes != self.axes:
+            raise ValueError(
+                f"columns hold axes {columns.axes}, the decomposition "
+                f"partitions {self.axes}"
+            )
+
+    def member_rows(self, region: Region, columns: AxisColumns):
+        """Rows whose box touches ``region`` (closed intervals).
+
+        Row for row the answer of :meth:`Region.touches`, as one float64
+        comparison per interval bound instead of a call per object.
+        """
+        self._check_axes(columns)
+        member = np.ones(len(columns), dtype=bool)
+        for column, (low, high) in enumerate(zip(region.lows, region.highs)):
+            member &= columns.hi[:, column] >= low
+            member &= columns.lo[:, column] <= high
+        return np.flatnonzero(member)
+
+    def owner_cells(self, values):
+        """:meth:`owner_cell` of every entry of an ``(n, k)`` array.
+
+        One ``searchsorted(side="right")`` per partitioned axis, the
+        vector form of ``bisect_right`` over the same edges.
+        """
+        cells = np.empty(values.shape, dtype=np.int64)
+        for column, ruler in enumerate(self._rulers):
+            found = np.searchsorted(ruler, values[:, column], side="right") - 1
+            cells[:, column] = np.clip(found, 0, len(ruler) - 1)
+        return cells
+
+    def owner_indices(self, lo_a, lo_b):
+        """:meth:`owner_index` of every pair of ``(m, k)`` low-corner rows."""
+        # Python's max(a, b): b only where strictly greater.
+        reference = np.where(lo_b > lo_a, lo_b, lo_a)
+        cells = self.owner_cells(reference)
+        flat = cells[:, 0]
+        for column in range(1, len(self.axes)):
+            flat = flat * self.shape[column] + cells[:, column]
+        return flat
+
+    def owned_pairs(
+        self,
+        region: Region,
+        pairs: list[tuple[int, int]],
+        columns_a: AxisColumns,
+        columns_b: AxisColumns,
+    ) -> list[tuple[int, int]]:
+        """The pairs ``region`` owns, in their input order.
+
+        Each oid resolves to its row in the side's columns (a repeated
+        oid to its last row); the pair is kept where
+        :meth:`owner_indices` of the two rows is the region's index —
+        pair for pair the verdict of :meth:`owns`.
+        """
+        if not pairs:
+            return []
+        self._check_axes(columns_a)
+        self._check_axes(columns_b)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)
+        )
+        rows_a = columns_a.rows_of(flat[0::2])
+        rows_b = columns_b.rows_of(flat[1::2])
+        owners = self.owner_indices(columns_a.lo[rows_a], columns_b.lo[rows_b])
+        return list(itertools.compress(pairs, (owners == region.index).tolist()))

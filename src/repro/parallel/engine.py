@@ -69,13 +69,14 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from repro.geometry.columnar import CoordinateTable, axes_overlap_mask
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import total_mbr
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair, SpatialJoinAlgorithm
 from repro.joins.registry import AlgorithmSpec
 from repro.parallel.decompose import (
     DECOMPOSE_KINDS,
+    AxisColumns,
     Decomposition,
     adaptive_chunk_count,
 )
@@ -144,15 +145,16 @@ def shutdown_pools() -> None:
 class _ColumnarSlicer:
     """Vectorised region membership over one dataset's coordinate table.
 
-    Builds the table once and answers each region with a broadcast
-    interval test — bit-identical to :meth:`Region.touches` (closed
-    boxes, float64 comparisons) but without the per-object Python loop.
+    Builds the table once and answers each region with
+    :meth:`Decomposition.member_rows` over the table's partitioned-axis
+    columns — bit-identical to :meth:`Region.touches` (closed boxes,
+    float64 comparisons) but without the per-object Python loop.
 
     With ``dedup="partition"`` membership switches to the two-layer
     index-range rule (:meth:`Decomposition.covers`) and every member is
-    shipped with its class mask, both resolved on the decomposition's
-    shared-edge ruler via one ``searchsorted`` per partitioned axis —
-    bit-identical to :meth:`Decomposition.owner_cell`'s ``bisect_right``.
+    shipped with its class mask, both resolved by
+    :meth:`Decomposition.owner_cells` — bit-identical to
+    :meth:`Decomposition.owner_cell`'s ``bisect_right``.
 
     The whole table is published once as a shared-memory block in the
     constructor; every chunk then carries the picklable
@@ -171,6 +173,8 @@ class _ColumnarSlicer:
     ) -> None:
         self.table = CoordinateTable.from_objects(objects)
         self.dedup = dedup
+        self.decomposition = decomposition
+        self.columns = AxisColumns.from_table(self.table, decomposition.axes)
         self.block = self.table.to_shared()
         self.vblock = None
         if exact:
@@ -180,19 +184,9 @@ class _ColumnarSlicer:
             from repro.geometry.vertex_table import VertexTable
 
             self.vblock = VertexTable.from_objects(objects).to_shared()
-        if dedup != "partition":
-            return
-        table, dim = self.table, self.table.dim
-        self._owner_lo, self._owner_hi = [], []
-        for coordinate, axis in enumerate(decomposition.axes):
-            edges = np.asarray(decomposition.edges[coordinate], dtype=np.float64)
-            last = len(edges) - 1
-            for source, out in (
-                (table.coords[:, axis], self._owner_lo),
-                (table.coords[:, axis + dim], self._owner_hi),
-            ):
-                owner = np.searchsorted(edges, source, side="right") - 1
-                out.append(np.clip(owner, 0, last))
+        if dedup == "partition":
+            self._owner_lo = decomposition.owner_cells(self.columns.lo)
+            self._owner_hi = decomposition.owner_cells(self.columns.hi)
 
     def close(self) -> None:
         """Unlink the published shared blocks (idempotent)."""
@@ -200,31 +194,30 @@ class _ColumnarSlicer:
         if self.vblock is not None:
             self.vblock.close(unlink=True)
 
-    def _payload(self, member, classes):
-        indices = np.flatnonzero(member).astype(np.int64, copy=False)
+    def _payload(self, rows, classes):
+        indices = rows.astype(np.int64, copy=False)
         if self.vblock is not None:
             return ("shm", self.block.handle, indices, classes, self.vblock.handle)
         return ("shm", self.block.handle, indices, classes)
 
     def chunk(self, region):
-        table = self.table
         if self.dedup != "partition":
-            mask = axes_overlap_mask(table, region.axes, region.lows, region.highs)
-            if not mask.any():
+            rows = self.decomposition.member_rows(region, self.columns)
+            if not len(rows):
                 return None
-            return self._payload(mask, None)
-        member = np.ones(len(table), dtype=bool)
+            return self._payload(rows, None)
+        member = np.ones(len(self.table), dtype=bool)
         for coordinate, cell in enumerate(region.cells):
-            member &= self._owner_lo[coordinate] <= cell
-            member &= self._owner_hi[coordinate] >= cell
+            member &= self._owner_lo[:, coordinate] <= cell
+            member &= self._owner_hi[:, coordinate] >= cell
         if not member.any():
             return None
         classes = np.zeros(int(member.sum()), dtype=np.int64)
         for coordinate, cell in enumerate(region.cells):
-            classes += (self._owner_lo[coordinate][member] == cell).astype(
+            classes += (self._owner_lo[member, coordinate] == cell).astype(
                 np.int64
             ) << coordinate
-        return self._payload(member, classes)
+        return self._payload(np.flatnonzero(member), classes)
 
 
 #: Valid values of the ``geometry`` selector (mirrors
@@ -245,7 +238,7 @@ def _with_shapes(objects, vertex_table):
 
 
 def _unpack_chunk(payload):
-    """Rebuild the region's objects (and class masks) inside the worker.
+    """Rebuild the region's rows, objects and class masks in the worker.
 
     Attaches the parent's shared block, copies out just this region's
     rows and detaches — the worker keeps no reference to the segment.
@@ -254,12 +247,13 @@ def _unpack_chunk(payload):
     so the worker can refine locally.
     """
     _tag, handle, indices, classes = payload[:4]
-    objects = CoordinateTable.shm_slice(handle, indices).to_objects()
+    table = CoordinateTable.shm_slice(handle, indices)
+    objects = table.to_objects()
     if len(payload) == 5:
         from repro.geometry.vertex_table import VertexTable
 
         objects = _with_shapes(objects, VertexTable.shm_slice(payload[4], indices))
-    return objects, None if classes is None else classes.tolist()
+    return table, objects, None if classes is None else classes.tolist()
 
 
 #: Per-worker spill counters surfaced in the parent's ``stats.extra``
@@ -338,8 +332,8 @@ def _run_chunk(task):
         refine,
     ) = task
     start = time.perf_counter()
-    objects_a, classes_a = _unpack_chunk(chunk_a)
-    objects_b, classes_b = _unpack_chunk(chunk_b)
+    table_a, objects_a, classes_a = _unpack_chunk(chunk_a)
+    table_b, objects_b, classes_b = _unpack_chunk(chunk_b)
 
     def fresh() -> SpatialJoinAlgorithm:
         # Per-worker budget: each region join runs under its share of
@@ -371,17 +365,14 @@ def _run_chunk(task):
         return region_index, pairs, 0, stats, time.perf_counter() - start
 
     result = fresh().join(objects_a, objects_b)
-    region = decomposition.regions[region_index]
-    mbr_a = {o.oid: o.mbr for o in objects_a}
-    mbr_b = {o.oid: o.mbr for o in objects_b}
-    owned: list[Pair] = []
-    duplicates = 0
     result.stats.dedup_checks += len(result.pairs)
-    for oid_a, oid_b in result.pairs:
-        if decomposition.owns(region, mbr_a[oid_a], mbr_b[oid_b]):
-            owned.append((oid_a, oid_b))
-        else:
-            duplicates += 1
+    owned = decomposition.owned_pairs(
+        decomposition.regions[region_index],
+        result.pairs,
+        AxisColumns.from_table(table_a, decomposition.axes),
+        AxisColumns.from_table(table_b, decomposition.axes),
+    )
+    duplicates = len(result.pairs) - len(owned)
     if refine is not None:
         owned = _refine_chunk(owned, objects_a, objects_b, refine, result.stats)
     return region_index, owned, duplicates, result.stats, time.perf_counter() - start

@@ -42,7 +42,11 @@ from repro.geometry.columnar import (
 from repro.geometry.mbr import MBR, total_mbr
 from repro.geometry.objects import SpatialObject
 from repro.grid import UniformGrid, resolution_label
-from repro.grid.columnar import ColumnarGrid, entry_join_candidates
+from repro.grid.columnar import (
+    ColumnarGrid,
+    entry_join_candidates,
+    populated_cells,
+)
 from repro.joins.base import Pair, SpatialJoinAlgorithm
 from repro.joins.local import LOCAL_KERNELS
 from repro.partition.classes import full_mask, mini_join_masks
@@ -376,7 +380,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
                 "a_masks": a_masks,
                 "order_a": order_a,
                 "sorted_keys_a": sorted_keys_a,
-                "unique_a_keys": np.unique(a_keys),
+                "populated_a": len(np.unique(a_keys)),
             }
         grid = self._make_grid(universe)
         n_classes = 1 << universe.dim
@@ -467,7 +471,9 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
         # both sides, the resident coordinate tables and the class masks.
         table_bytes = payload["table_a"].nbytes + table_b.nbytes
         stats.extra["columnar_table_bytes"] = table_bytes
-        populated = len(np.union1d(payload["unique_a_keys"], b_keys))
+        populated = populated_cells(
+            payload["sorted_keys_a"], payload["populated_a"], b_keys
+        )
         stats.memory_bytes = (
             memmodel.grid_cells_bytes(
                 populated, len(payload["a_obj"]) + len(b_obj)

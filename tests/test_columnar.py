@@ -178,6 +178,28 @@ class TestCoordinateTable:
         with pytest.raises(ValueError, match=r"bounds\(\) of an empty table"):
             table.bounds()
 
+    def test_to_objects_matches_the_mbr_constructor(self):
+        objects = [
+            SpatialObject(4, MBR((-0.0, 1.5, 2.0), (0.0, 1.5, 3.0))),
+            SpatialObject(4, MBR((1.0, -2.0, 0.0), (1.0, 5.0, 0.25))),
+            SpatialObject(-7, MBR((3.0, 3.0, 3.0), (4.0, 4.0, 4.0))),
+        ]
+        back = CoordinateTable.from_objects(objects).to_objects()
+        assert [(o.oid, o.mbr) for o in back] == [(o.oid, o.mbr) for o in objects]
+        assert all(type(o.oid) is int for o in back)
+        for got, want in zip(back, objects):
+            assert all(type(c) is float for c in got.mbr.lo + got.mbr.hi)
+            # -0.0 survives: the corners are the same floats, sign included.
+            assert [np.signbit(c) for c in got.mbr.lo] == [
+                np.signbit(c) for c in want.mbr.lo
+            ]
+
+    def test_to_objects_raises_the_constructor_error_on_hi_below_lo(self):
+        coords = np.array([[0.0, 0.0, 1.0, 1.0], [2.0, 5.0, 3.0, 4.0]])
+        table = CoordinateTable(coords, np.array([0, 1]))
+        with pytest.raises(ValueError, match=r"hi < lo in dimension 1: 4.0 < 5.0"):
+            table.to_objects()
+
     def test_concat_ranges(self):
         anchors, values = concat_ranges(np.array([5, 0, 7]), np.array([2, 0, 3]))
         assert anchors.tolist() == [0, 0, 2, 2, 2]
@@ -322,32 +344,3 @@ class TestBatchedAssignmentParity:
             tree, CoordinateTable.from_objects(far), far, stats
         )
         assert assigned == {} and stats.filtered == 1
-
-
-class TestAxesOverlapMask:
-    """Partial-dimensional overlap: the decomposition membership kernel."""
-
-    def test_matches_per_object_touches(self):
-        from repro.geometry.columnar import axes_overlap_mask
-        from repro.parallel.decompose import Decomposition
-
-        objects = list(uniform_boxes(120, seed=77, space=50.0, side_range=(0.0, 6.0)))
-        table = CoordinateTable.from_objects(objects)
-        universe = MBR((0.0, 0.0, 0.0), (50.0, 50.0, 50.0))
-        for kind, n_chunks in (("slabs", 4), ("tiles", 6)):
-            decomposition = Decomposition.build(universe, kind=kind, n_chunks=n_chunks)
-            for region in decomposition.regions:
-                mask = axes_overlap_mask(
-                    table, region.axes, region.lows, region.highs
-                )
-                expected = [region.touches(o.mbr) for o in objects]
-                assert mask.tolist() == expected
-
-    def test_unconstrained_axes_stay_free(self):
-        from repro.geometry.columnar import axes_overlap_mask
-
-        table = CoordinateTable.from_mbrs(
-            [MBR((0.0, 100.0), (1.0, 101.0)), MBR((5.0, -3.0), (6.0, -2.0))]
-        )
-        mask = axes_overlap_mask(table, (0,), (0.0,), (2.0,))
-        assert mask.tolist() == [True, False]  # axis 1 never consulted

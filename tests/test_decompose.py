@@ -2,12 +2,16 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.geometry.mbr import MBR
+from repro.geometry.columnar import CoordinateTable
+from repro.geometry.mbr import MBR, total_mbr
+from repro.geometry.objects import SpatialObject
 from repro.parallel.decompose import (
     DEFAULT_OBJECTS_PER_CHUNK,
     MAX_ADAPTIVE_CHUNKS,
+    AxisColumns,
     Decomposition,
     adaptive_chunk_count,
     slab_bounds,
@@ -226,3 +230,166 @@ class TestEveryReferenceHasOneOwner:
                     for region in decomposition.regions
                 )
                 assert owners == 1
+
+
+def _nudge(value, direction):
+    return float(np.nextafter(value, direction))
+
+
+#: Coordinates that stress both rules on a [-0.0, 10] axis cut 4 ways
+#: (edges 0, 2.5, 5, 7.5): every edge exactly and one ulp either side,
+#: the closing universe bound and beyond it, and both signed zeros.
+_VALUES = sorted(
+    {
+        -1.0, -0.0, 0.0, 1.25, 2.5, 3.0, 5.0, 7.5, 9.0, 10.0, 10.5,
+        _nudge(2.5, -np.inf), _nudge(2.5, np.inf),
+        _nudge(7.5, -np.inf), _nudge(10.0, np.inf),
+    },
+    key=lambda v: (v, str(v)),
+)
+
+
+def _corpus(dim, seed, n):
+    """Boxes with corners from ``_VALUES``: zero-extent ones included,
+    and every third oid repeated with a different box."""
+    rng = np.random.default_rng(seed)
+    values = np.array(_VALUES + [-0.0])
+    objects = []
+    for i in range(n):
+        corners = rng.choice(values, size=(2, dim))
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        if i % 5 == 0:
+            hi = lo  # zero extent on every axis
+        oid = i - (i % 3 == 2)  # oid i-1 appears twice
+        objects.append(SpatialObject(oid, MBR(lo.tolist(), hi.tolist())))
+    return objects
+
+
+_DECOMPOSITIONS = [
+    # (label, universe, kind, n_chunks, axis)
+    ("slabs-1d", MBR((-0.0,), (10.0,)), "slabs", 4, 0),
+    ("tiles-fall-back-1d", MBR((-0.0,), (10.0,)), "tiles", 3, 0),
+    ("slabs-2d-axis1", MBR((0.0, -0.0), (7.0, 10.0)), "slabs", 4, 1),
+    ("tiles-2d", MBR((-0.0, 0.0), (10.0, 10.0)), "tiles", 4, 0),
+    ("tiles-2d-thirds", MBR((0.0, 0.0), (10.0, 10.0)), "tiles", 9, 0),
+    ("tiles-3d-wrap", MBR((0.0, 0.0, -0.0), (10.0, 10.0, 10.0)), "tiles", 6, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "universe,kind,n_chunks,axis",
+    [case[1:] for case in _DECOMPOSITIONS],
+    ids=[case[0] for case in _DECOMPOSITIONS],
+)
+class TestArrayRulesMatchScalarOracles:
+    """``member_rows``/``owner_indices``/``owned_pairs`` against
+    ``Region.touches``/``owner_index``/``owns``, row by row and pair by
+    pair."""
+
+    def test_member_rows_match_touches(self, universe, kind, n_chunks, axis):
+        decomposition = Decomposition.build(universe, kind, n_chunks, axis)
+        objects = _corpus(universe.dim, seed=1, n=60)
+        table = CoordinateTable.from_objects(objects)
+        for columns in (
+            AxisColumns.from_objects(objects, decomposition.axes),
+            AxisColumns.from_table(table, decomposition.axes),
+        ):
+            for region in decomposition.regions:
+                expected = [i for i, o in enumerate(objects) if region.touches(o.mbr)]
+                assert decomposition.member_rows(region, columns).tolist() == expected
+
+    def test_owner_indices_match_owner_index(self, universe, kind, n_chunks, axis):
+        decomposition = Decomposition.build(universe, kind, n_chunks, axis)
+        objects_a = _corpus(universe.dim, seed=3, n=40)
+        objects_b = _corpus(universe.dim, seed=4, n=45)
+        columns_a = AxisColumns.from_objects(objects_a, decomposition.axes)
+        columns_b = AxisColumns.from_objects(objects_b, decomposition.axes)
+        rows_a, rows_b = np.meshgrid(
+            np.arange(len(objects_a)), np.arange(len(objects_b)), indexing="ij"
+        )
+        rows_a, rows_b = rows_a.ravel(), rows_b.ravel()
+        owners = decomposition.owner_indices(
+            columns_a.lo[rows_a], columns_b.lo[rows_b]
+        )
+        expected = [
+            decomposition.owner_index(objects_a[i].mbr, objects_b[j].mbr)
+            for i, j in zip(rows_a.tolist(), rows_b.tolist())
+        ]
+        assert owners.tolist() == expected
+
+    def test_owned_pairs_match_owns_last_oid_wins(
+        self, universe, kind, n_chunks, axis
+    ):
+        decomposition = Decomposition.build(universe, kind, n_chunks, axis)
+        objects_a = _corpus(universe.dim, seed=5, n=30)
+        objects_b = _corpus(universe.dim, seed=6, n=33)
+        # The oracle's {oid: mbr} dicts keep each oid's last box.
+        mbr_a = {o.oid: o.mbr for o in objects_a}
+        mbr_b = {o.oid: o.mbr for o in objects_b}
+        assert len(mbr_a) < len(objects_a) and len(mbr_b) < len(objects_b)
+        pairs = [(a, b) for a in mbr_a for b in mbr_b][::-1]
+        columns_a = AxisColumns.from_objects(objects_a, decomposition.axes)
+        columns_b = AxisColumns.from_objects(objects_b, decomposition.axes)
+        seen = []
+        for region in decomposition.regions:
+            owned = decomposition.owned_pairs(region, pairs, columns_a, columns_b)
+            assert owned == [
+                (a, b) for a, b in pairs
+                if decomposition.owns(region, mbr_a[a], mbr_b[b])
+            ]
+            seen.extend(owned)
+        assert sorted(seen) == sorted(pairs)  # every pair has one owner
+
+
+class TestArrayRuleEdges:
+    def test_owned_pairs_of_nothing(self):
+        decomposition = Decomposition.slabs(UNIVERSE_2D, 2)
+        empty = AxisColumns.from_objects([], decomposition.axes)
+        assert decomposition.owned_pairs(decomposition.regions[0], [], empty, empty) == []
+
+    def test_unknown_oid_raises_key_error(self):
+        decomposition = Decomposition.slabs(UNIVERSE_2D, 2)
+        objects = [SpatialObject(1, MBR((1.0, 1.0), (2.0, 2.0)))]
+        columns = AxisColumns.from_objects(objects, decomposition.axes)
+        with pytest.raises(KeyError):
+            decomposition.owned_pairs(
+                decomposition.regions[0], [(1, 2)], columns, columns
+            )
+        with pytest.raises(KeyError):
+            decomposition.owned_pairs(
+                decomposition.regions[0], [(0, 1)], columns, columns
+            )
+
+    def test_columns_of_other_axes_rejected(self):
+        decomposition = Decomposition.slabs(UNIVERSE_2D, 2, axis=0)
+        objects = [SpatialObject(1, MBR((1.0, 1.0), (2.0, 2.0)))]
+        columns = AxisColumns.from_objects(objects, (1,))
+        with pytest.raises(ValueError, match="axes"):
+            decomposition.member_rows(decomposition.regions[0], columns)
+
+    def test_unpartitioned_axes_are_never_read(self):
+        decomposition = Decomposition.slabs(UNIVERSE_2D, 5, axis=0)
+        objects = [
+            SpatialObject(0, MBR((0.0, 100.0), (1.0, 101.0))),
+            SpatialObject(1, MBR((5.0, -3.0), (6.0, -2.0))),
+        ]
+        columns = AxisColumns.from_objects(objects, decomposition.axes)
+        assert columns.lo.shape == (2, 1)
+        assert decomposition.member_rows(decomposition.regions[0], columns).tolist() == [0]
+
+    @pytest.mark.parametrize("kind,n_chunks,axis", [("slabs", 4, 1), ("tiles", 6, 0),
+                                                    ("tiles", 5, 2)])
+    def test_spanning_cuts_the_total_mbr_universe(self, kind, n_chunks, axis):
+        objects_a = _corpus(3, seed=7, n=25)
+        objects_b = _corpus(3, seed=8, n=20)
+        universe = total_mbr(o.mbr for o in objects_a + objects_b)
+        expected = Decomposition.build(universe, kind, n_chunks, axis)
+        axes = Decomposition.partition_axes(kind, 3, axis)
+        got = Decomposition.spanning(
+            n_chunks,
+            AxisColumns.from_objects(objects_a, axes),
+            AxisColumns.from_objects(objects_b, axes),
+        )
+        assert (got.kind, got.axes, got.bounds) == (
+            expected.kind, expected.axes, expected.bounds
+        )

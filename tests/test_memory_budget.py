@@ -10,14 +10,17 @@ directory is removed on success *and* on crash.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.bench.config import RunOptions
 from repro.bench.runner import run_algorithm
 from repro.datasets.synthetic import uniform_boxes
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import dimensionality
@@ -79,22 +82,23 @@ class TestMemoryBudget:
 
 
 class TestSpillStore:
-    def _objects(self, n, seed):
-        return uniform_boxes(n, space=50.0, dim=3, seed=seed)
+    def _table(self, n, seed, dim=3):
+        return uniform_boxes(n, space=50.0, dim=dim, seed=seed).to_table()
 
     def test_round_trip(self):
-        a, b = self._objects(20, 1), self._objects(30, 2)
+        a, b = self._table(20, 1), self._table(30, 2)
         with SpillStore() as store:
             part = store.write(0, a, b)
             assert part.n_a == 20 and part.n_b == 30
             assert part.file_bytes > 0
             assert store.bytes_written == part.file_bytes
             back_a, back_b = store.read(part)
-        assert [(o.oid, o.mbr) for o in back_a] == [(o.oid, o.mbr) for o in a]
-        assert [(o.oid, o.mbr) for o in back_b] == [(o.oid, o.mbr) for o in b]
+        for back, table in ((back_a, a), (back_b, b)):
+            assert back.coords.tobytes() == table.coords.tobytes()
+            assert back.ids.tobytes() == table.ids.tobytes()
 
     def test_read_once_deletes_the_file(self):
-        a, b = self._objects(5, 3), self._objects(5, 4)
+        a, b = self._table(5, 3), self._table(5, 4)
         with SpillStore() as store:
             part = store.write(7, a, b)
             assert os.path.exists(part.path)
@@ -104,7 +108,7 @@ class TestSpillStore:
                 store.read(part)
 
     def test_close_removes_directory_even_with_unread_partitions(self):
-        a, b = self._objects(5, 5), self._objects(5, 6)
+        a, b = self._table(5, 5), self._table(5, 6)
         store = SpillStore()
         store.write(0, a, b)
         directory = store.directory
@@ -114,7 +118,7 @@ class TestSpillStore:
         store.close()  # idempotent
 
     def test_missing_file_raises_spill_error(self):
-        a, b = self._objects(5, 7), self._objects(5, 8)
+        a, b = self._table(5, 7), self._table(5, 8)
         with SpillStore() as store:
             part = store.write(0, a, b)
             os.remove(part.path)
@@ -122,7 +126,7 @@ class TestSpillStore:
                 store.read(part)
 
     def test_corrupt_file_raises_spill_error(self):
-        a, b = self._objects(8, 9), self._objects(8, 10)
+        a, b = self._table(8, 9), self._table(8, 10)
         with SpillStore() as store:
             part = store.write(0, a, b)
             with open(part.path, "r+b") as handle:
@@ -133,12 +137,48 @@ class TestSpillStore:
     def test_pickled_payload_raises_spill_error(self):
         # np.load(allow_pickle=False) refuses a pickle stream with a bare
         # ValueError; the store must translate it like any corruption.
-        a, b = self._objects(8, 11), self._objects(8, 12)
+        a, b = self._table(8, 11), self._table(8, 12)
         with SpillStore() as store:
             part = store.write(0, a, b)
             with open(part.path, "wb") as handle:
-                pickle.dump([[(o.oid, o.mbr.lo, o.mbr.hi) for o in a], []], handle)
+                pickle.dump([a.to_objects(), []], handle)
             with pytest.raises(SpillError, match="failed to read spilled partition"):
+                store.read(part)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_table_slices_write_the_packed_object_layout(self, dim):
+        """Byte for byte the file the per-object packing wrote before
+        the store took table slices: per side, float64 ``(n, 2D)``
+        coordinates (lo corner, then hi), then the int64 ids."""
+        objects_a = list(uniform_boxes(17, space=50.0, dim=dim, seed=13))
+        objects_b = list(uniform_boxes(9, space=50.0, dim=dim, seed=14))
+        objects_a[3] = SpatialObject(-2, MBR((-0.0,) * dim, (0.0,) * dim))
+        rows = [0, 2, 3, 5, 8, 13, 16]
+        expected = io.BytesIO()
+        for side in ([objects_a[i] for i in rows], objects_b):
+            coords = np.empty((len(side), 2 * dim), dtype=np.float64)
+            ids = np.empty(len(side), dtype=np.int64)
+            for row, obj in enumerate(side):
+                coords[row, :dim] = obj.mbr.lo
+                coords[row, dim:] = obj.mbr.hi
+                ids[row] = obj.oid
+            np.save(expected, coords, allow_pickle=False)
+            np.save(expected, ids, allow_pickle=False)
+        table_a = CoordinateTable.from_objects(objects_a).take(np.array(rows))
+        table_b = CoordinateTable.from_objects(objects_b)
+        with SpillStore() as store:
+            part = store.write(0, table_a, table_b)
+            with open(part.path, "rb") as handle:
+                assert handle.read() == expected.getvalue()
+            assert part.file_bytes == len(expected.getvalue())
+
+    def test_row_with_hi_below_lo_raises_spill_error(self):
+        a, b = self._table(6, 15), self._table(6, 16)
+        broken = a.coords.copy()
+        broken[4, 1], broken[4, 4] = 9.0, 8.0  # hi < lo on axis 1
+        with SpillStore() as store:
+            part = store.write(3, CoordinateTable(broken, a.ids), b)
+            with pytest.raises(SpillError, match=r"hi < lo in dimension 1"):
                 store.read(part)
 
 
@@ -192,6 +232,63 @@ class TestBudgetedParity:
         assert joiner.join(a, b).pair_set() == baseline
 
 
+#: Counters of the budgeted joins of ``dense_pair``, recorded with the
+#: per-object membership/ownership loops and object-list spill packing
+#: that the column rules replaced: (pairs, comparisons, dedup_checks,
+#: duplicates_suppressed) + ``_PINNED_EXTRA``.
+_PINNED_EXTRA = (
+    "spilled_partitions", "spill_bytes_written", "spill_bytes_read", "unspills",
+    "spill_passes", "resident_partitions", "budget_peak_bytes",
+    "recursive_repartitions", "budget_overruns",
+)
+_PINNED = {
+    ("TOUCH", 4): (65, 877, 171, 31, 7, 44016, 44016, 7, 7, 1, 23712, 0, 0),
+    ("TOUCH", 8): (65, 715, 171, 30, 15, 53600, 53600, 15, 14, 1, 17800, 0, 0),
+    ("PBSM-100", 4): (65, 693, 197, 57, 7, 44016, 44016, 7, 7, 1, 41216, 0, 0),
+    ("PBSM-100", 8): (65, 677, 196, 55, 15, 53600, 53600, 15, 14, 1, 32016, 0, 0),
+    ("NL", 4): (65, 20146, 75, 10, 7, 44016, 44016, 7, 7, 1, 12544, 0, 0),
+    ("NL", 8): (65, 11666, 76, 11, 15, 53600, 53600, 15, 14, 1, 9744, 0, 0),
+}
+
+
+def _pinned(result):
+    stats = result.stats
+    return (
+        len(result.pairs), stats.comparisons, stats.dedup_checks,
+        stats.duplicates_suppressed,
+    ) + tuple(stats.extra[key] for key in _PINNED_EXTRA)
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("name,divisor", sorted(_PINNED))
+    def test_counters_match_the_recorded_run(self, name, divisor, dense_pair):
+        a, b = dense_pair
+        joiner = BudgetedSpatialJoin(name, max_bytes=footprint(name, dense_pair) // divisor)
+        result = joiner.join(a, b)
+        assert _pinned(result) == _PINNED[name, divisor]
+        assert result.pair_set() == make_algorithm(name).join(a, b).pair_set()
+
+    def test_spills_pack_partition_rows_never_a_whole_side(self, dense_pair, monkeypatch):
+        # The object-backend base builds no tables, so every table seen
+        # here is built by the governor itself.
+        a, b = dense_pair
+        sizes = []
+        original = CoordinateTable.from_objects.__func__
+
+        def spy(cls, objects, dim=None):
+            sizes.append(len(objects))
+            return original(cls, objects, dim)
+
+        monkeypatch.setattr(CoordinateTable, "from_objects", classmethod(spy))
+        joiner = BudgetedSpatialJoin(
+            lambda: make_algorithm("NL", backend="object"),
+            max_bytes=footprint("NL", dense_pair) // 4,
+        )
+        result = joiner.join(a, b)
+        assert result.stats.extra["spilled_partitions"] > 0
+        assert sizes and max(sizes) < min(len(a), len(b))
+
+
 class TestSkewRecursion:
     def test_stacked_boxes_recurse_then_overrun(self):
         """Identical boxes cannot be split: recursion bottoms out cleanly.
@@ -211,6 +308,7 @@ class TestSkewRecursion:
         assert result.stats.extra["recursive_repartitions"] > 0
         assert result.stats.extra["budget_overruns"] > 0
         assert not os.path.exists(joiner.last_spill_dir)
+        assert _pinned(result) == (144, 576, 864, 432, 6, 11136, 11136, 0, 6, 0, 0, 2, 4)
 
 
 class _ExplodingJoin:

@@ -208,3 +208,49 @@ class TestClassifiedEntries:
         obj_idx, _keys, masks = grid.entries(table, with_class_masks=True)
         home = obj_idx[masks == full_mask(3)]
         assert sorted(home.tolist()) == list(range(len(boxes)))
+
+
+class TestCachedProbeMemory:
+    """The cached probe counts populated cells without ``np.union1d``."""
+
+    @pytest.mark.parametrize(
+        "probe_keys",
+        [[3, 3, 9, 12], [1, 4, 4, 40, 41], [], [0, 3, 50]],
+        ids=["all-in-a", "new", "empty", "mixed"],
+    )
+    def test_populated_cells_is_the_union_size(self, probe_keys):
+        from repro.grid.columnar import populated_cells, sort_entries
+
+        a_keys = np.array([12, 3, 9, 3, 0, 9], dtype=np.int64)
+        b_keys = np.array(probe_keys, dtype=np.int64)
+        _order, sorted_a = sort_entries(a_keys)
+        got = populated_cells(sorted_a, len(np.unique(a_keys)), b_keys)
+        assert got == len(np.union1d(a_keys, b_keys))
+        empty = np.empty(0, dtype=np.int64)
+        assert populated_cells(empty, 0, b_keys) == len(np.unique(b_keys))
+
+    @pytest.mark.parametrize("case", ["b-in-a", "b-new", "b-empty"])
+    def test_memory_bytes_matches_the_union1d_reference(self, case, monkeypatch):
+        from repro.partition import two_layer
+
+        # A fills two corners of its universe; B either repeats A's boxes
+        # (every key already populated) or sits in the empty middle cells.
+        a = [box_object(i, (i % 3, 0.0), (i % 3 + 0.5, 0.5)) for i in range(6)]
+        a += [box_object(10 + i, (49.0, 49.0 - i), (50.0, 49.5 - i)) for i in range(4)]
+        b = {
+            "b-in-a": [box_object(100 + i, o.mbr.lo, o.mbr.hi) for i, o in enumerate(a)],
+            "b-new": [box_object(200 + i, (20.0 + i, 25.0), (21.0 + i, 26.0))
+                      for i in range(5)],
+            "b-empty": [],
+        }[case]
+        algo = make_algorithm("TwoLayer-100", backend="columnar")
+        built = algo.prepare(a)
+        got = algo.probe(built, b).stats.memory_bytes
+        monkeypatch.setattr(
+            two_layer,
+            "populated_cells",
+            lambda sorted_a, _count, b_keys: len(np.union1d(sorted_a, b_keys)),
+        )
+        assert algo.probe(built, b).stats.memory_bytes == got
+        if case != "b-empty":
+            assert got > 0
